@@ -67,6 +67,11 @@ SUITES = (
 )
 
 
+# the largest series order accepted: the cost grows steeply with the order,
+# so an absurd one would run for hours instead of failing
+MAX_ORDER = 16
+
+
 class UserError(Exception):
     pass
 
@@ -79,6 +84,10 @@ class RunConfig:
     truncation: int | None = None
     seed: int = 0
     fmt: str = "text"
+
+    def __post_init__(self):
+        if not 0 <= self.order <= MAX_ORDER:
+            raise UserError(f"order {self.order} is outside 0..{MAX_ORDER}")
 
     @property
     def K(self):
@@ -573,15 +582,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        chart_path=args.chart,
-        product=args.product,
-        order=args.order,
-        truncation=args.truncation,
-        seed=args.seed,
-        fmt=args.fmt,
-    )
     try:
+        config = RunConfig(
+            chart_path=args.chart,
+            product=args.product,
+            order=args.order,
+            truncation=args.truncation,
+            seed=args.seed,
+            fmt=args.fmt,
+        )
         if args.command == "star":
             text, code = cmd_star(config, args.f, args.g)
         elif args.command == "verify":

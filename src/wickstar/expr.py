@@ -18,6 +18,7 @@ Fedosov recursion small on the bundled charts.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -363,75 +364,78 @@ class ChartPolynomial:
         return f"<ChartPolynomial {self.render()}>"
 
 
-_POWER_CACHE = {}
 _FACTOR_CACHE = {}
-_BINOMIAL_CACHE = {}
+_DIVIDER_CACHE = {}
 _ZERO_CACHE = {}
 _ONE_CACHE = {}
 
 
-def _binomial_data(p):
-    """(shift, ratio) for a two-term polynomial c1 X^e1 + c2 X^e2 with
-    e2 <= e1 componentwise, where X^shift folds to `ratio`; None otherwise."""
-    key = p
-    hit = _BINOMIAL_CACHE.get(key, "miss")
-    if hit != "miss":
-        return hit
-    result = None
-    if len(p.terms) == 2:
-        items = sorted(p.terms.items(), reverse=True)
-        (e1, c1), (e2, c2) = items
-        # only the pure binomial c1 X^e1 + c2 (no common monomial factor):
-        # then p generates the same ideal as X^e1 - ratio and folding gives
-        # the exact normal form
-        if not any(e2) and any(e1):
-            result = (e1, -(c2 / c1))
-    _BINOMIAL_CACHE[key] = result
-    return result
-
-
-def _quick_divisible(poly, factor):
-    """Exact divisibility test against a two-term factor in linear time,
-    by folding the factor's monomial relation; None when inconclusive."""
-    data = _binomial_data(factor)
-    if data is None:
-        return None
-    shift, ratio = data
-    folded = {}
-    for exp, coeff in poly.terms.items():
-        k = min((e // s) for e, s in zip(exp, shift) if s)
-        if k:
-            exp = tuple(e - k * si for e, si in zip(exp, shift))
-            coeff = coeff * ratio ** k
-        cur = folded.get(exp)
-        if cur is None:
-            folded[exp] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero():
-                del folded[exp]
-            else:
-                folded[exp] = s
-    return not folded
-
-
-def _base_power(b, m):
-    """b**m with a small cache; base polynomials are tiny."""
-    if m == 0:
-        return ChartPolynomial.one(b.nvars)
-    key = (b, m)
-    hit = _POWER_CACHE.get(key)
+def _divider(factor):
+    """A function taking poly to poly / factor, or to None when the division
+    is not exact.  Memoized per factor; base polynomials are few."""
+    hit = _DIVIDER_CACHE.get(factor)
     if hit is None:
-        hit = b ** m
-        _POWER_CACHE[key] = hit
+        hit = _chain_divider(factor) or (lambda poly: poly.exact_div(factor))
+        _DIVIDER_CACHE[factor] = hit
     return hit
 
 
+def _chain_divider(factor):
+    """Linear-time divider by a pure binomial c1 X^s + c2 (no common
+    monomial factor); None for any other factor.
+
+    The exponents of poly fall into chains m, m + s, m + 2s, ..., and along
+    a chain the quotient obeys q_k = p_k / c2 + t q_(k-1) with t = -c1/c2.
+    The division is exact when the step past the top of every chain gives
+    zero.
+    """
+    if len(factor.terms) != 2:
+        return None
+    (shift, c1), (e2, c2) = sorted(factor.terms.items(), reverse=True)
+    if any(e2) or not any(shift):
+        return None
+    inv_c2 = c2.inverse()
+    t = -(c1 * inv_c2)
+    if t == GR_ONE:
+        step = operator.add
+    elif t == -GR_ONE:
+        step = operator.sub
+    else:
+        def step(p, q):
+            return p + t * q
+
+    def divide(poly):
+        if inv_c2 != GR_ONE:
+            poly = poly.scale(inv_c2)
+        chains = {}
+        for exp, coeff in poly.terms.items():
+            k = min(e // s for e, s in zip(exp, shift) if s)
+            if k:
+                exp = tuple(e - k * si for e, si in zip(exp, shift))
+            chains.setdefault(exp, {})[k] = coeff
+        out = {}
+        for start, chain in chains.items():
+            q = GR_ZERO
+            for k in range(max(chain) + 1):
+                p = chain.get(k)
+                if q:
+                    q = step(GR_ZERO if p is None else p, q)
+                elif p is None:
+                    continue
+                else:
+                    q = p
+                if q:
+                    out[tuple(e + k * si for e, si in zip(start, shift))] = q
+            if q:
+                return None
+        return ChartPolynomial(poly.nvars, out)
+
+    return divide
+
+
 def _single_base_power(den, base):
-    """(b, m) when den is exactly b**m for one base factor, (None, 0) for a
-    trivial denominator, None otherwise.  Memoized; denominators are small."""
-    if den.is_constant():
-        return (None, 0)
+    """(b, m) when the non-constant den is exactly b**m for one base factor,
+    None otherwise.  Memoized; denominators are small."""
     key = (den, base)
     hit = _FACTOR_CACHE.get(key, "miss")
     if hit != "miss":
@@ -440,8 +444,9 @@ def _single_base_power(den, base):
     for b in base:
         m = 0
         work = den
+        divide = _divider(b)
         while True:
-            q = work.exact_div(b)
+            q = divide(work)
             if q is None:
                 break
             work = q
@@ -478,48 +483,62 @@ def _cancel_monomial(num, den):
     return shifted(num), shifted(den)
 
 
+def _cancel_common(num, den, base):
+    """Divide num and den by their largest common monomial and by every
+    base factor they share, as often as both stay divisible.
+
+    This is the one reduction kernel.  With base entries irreducible and
+    pairwise coprime, a denominator that factors over the base and the
+    coordinates comes out coprime to the numerator.
+    """
+    if num.is_constant() or den.is_constant():
+        return num, den
+    num, den = _cancel_monomial(num, den)
+    for factor in base:
+        divide = _divider(factor)
+        while not den.is_constant():
+            qn = divide(num)
+            if qn is None:
+                break
+            qd = divide(den)
+            if qd is None:
+                break
+            num, den = qn, qd
+    return num, den
+
+
 class ChartExpr:
     """Rational function num/den in the chart coordinates.
 
     Canonical form: the denominator is nonzero, its lexicographically
-    leading coefficient is 1, any common monomial factor of numerator and
-    denominator is cancelled and so is any common factor from the attached
-    factor base.  Zero is stored as 0/1.  Equality is decided by
-    cross-multiplication, so differing representations of the same value
-    still compare equal.
+    leading coefficient is 1, and numerator and denominator share no
+    monomial and no factor of the attached factor base.  Zero is stored as
+    0/1.  For a denominator that factors over the base and the coordinates
+    this form is unique, so equal values serialize to equal bytes.
+    Equality is decided by cross-multiplication, so it holds for other
+    denominators too.
     """
 
     __slots__ = ("num", "den", "base")
 
-    def __init__(self, num, den=None, base=(), reduce_base=True):
+    def __init__(self, num, den=None, base=()):
         if den is None:
             den = ChartPolynomial.one(num.nvars)
         if den.is_zero():
             raise ExprDivisionError("zero denominator")
+        self._store(*_cancel_common(num, den, base), base)
+
+    @staticmethod
+    def _from_reduced(num, den, base):
+        """num/den where num and den share no monomial and no base factor."""
+        out = object.__new__(ChartExpr)
+        out._store(num, den, base)
+        return out
+
+    def _store(self, num, den, base):
         if num.is_zero():
             den = ChartPolynomial.one(num.nvars)
         else:
-            num, den = _cancel_monomial(num, den)
-            if reduce_base and base and not den.is_constant():
-                changed = True
-                while changed and not den.is_constant():
-                    changed = False
-                    for factor in base:
-                        if _quick_divisible(num, factor) is False:
-                            continue
-                        qn = num.exact_div(factor)
-                        if qn is None:
-                            continue
-                        qd = den.exact_div(factor)
-                        if qd is None:
-                            continue
-                        num, den = qn, qd
-                        changed = True
-                        if num.is_zero():
-                            den = ChartPolynomial.one(num.nvars)
-                            changed = False
-                            break
-        if not num.is_zero() or not den.is_constant():
             _, lead = den.leading()
             if lead != GR_ONE:
                 inv = lead.inverse()
@@ -597,23 +616,6 @@ class ChartExpr:
         if self.den == other.den:
             num = self.num - other.num if subtract else self.num + other.num
             return ChartExpr(num, self.den, base)
-        # pure powers of one base factor combine over the larger power; the
-        # smaller-power numerator stays coprime to it, so no reduction pass
-        # is needed afterwards
-        fac1 = _single_base_power(self.den, base)
-        fac2 = _single_base_power(other.den, base)
-        if fac1 is not None and fac2 is not None and (fac1[1] == 0 or fac2[1] == 0 or fac1[0] == fac2[0]):
-            b = fac1[0] if fac1[1] else fac2[0]
-            m1, m2 = fac1[1], fac2[1]
-            if m1 < m2:
-                num1 = self.num * _base_power(b, m2 - m1)
-                num = num1 - other.num if subtract else num1 + other.num
-                den = other.den
-            else:
-                num2 = other.num * _base_power(b, m1 - m2)
-                num = self.num - num2 if subtract else self.num + num2
-                den = self.den
-            return ChartExpr(num, den, base, reduce_base=False)
         num = (
             self.num * other.den - other.num * self.den
             if subtract
@@ -631,9 +633,10 @@ class ChartExpr:
         return self._rescaled(-self.num)
 
     def _rescaled(self, new_num):
-        """Same denominator, numerator rescaled by a nonzero constant: the
-        canonical shape is preserved, so construction-time reduction is
-        skipped."""
+        """Same denominator, numerator rescaled by a nonzero constant.
+
+        Precondition: self is reduced.  Scaling by a constant keeps it so,
+        so construction-time reduction is skipped."""
         out = object.__new__(ChartExpr)
         if new_num.is_zero():
             out.num = new_num
@@ -647,14 +650,22 @@ class ChartExpr:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        # a product of reduced fractions over irreducible base factors needs
-        # no further base cancellation; skipping it keeps products cheap
-        return ChartExpr(
-            self.num * other.num,
-            self.den * other.den,
-            self._join_base(other),
-            reduce_base=False,
-        )
+        return self._times(other.num, other.den, other)
+
+    def _times(self, num, den, other):
+        """self * (num/den), where num/den is other or its reciprocal."""
+        base = self._join_base(other)
+        if not (self._reduced_over(base) and other._reduced_over(base)):
+            return ChartExpr(self.num * num, self.den * den, base)
+        # each factor is reduced over base, so a factor common to the product
+        # pairs one side's numerator with the other side's denominator:
+        # cancel across, and the product of what is left is reduced
+        num1, den2 = _cancel_common(self.num, den, base)
+        num2, den1 = _cancel_common(num, self.den, base)
+        return ChartExpr._from_reduced(num1 * num2, den1 * den2, base)
+
+    def _reduced_over(self, base):
+        return self.base == base or self.den.is_constant()
 
     def scale(self, value):
         value = GaussianRational.coerce(value)
@@ -670,7 +681,7 @@ class ChartExpr:
             return self.scale(value.inverse())
         if other.is_zero():
             raise ExprDivisionError("division by zero expression")
-        return ChartExpr(self.num * other.den, self.den * other.num, self._join_base(other))
+        return self._times(other.den, other.num, other)
 
     def __pow__(self, k):
         if k < 0:
@@ -696,20 +707,19 @@ class ChartExpr:
         if not 0 <= index < self.nvars:
             raise ExprError(f"coordinate index {index} out of range")
         dnum = self.num.derivative(index)
-        if self.den.is_constant():
-            return ChartExpr(dnum, self.den, self.base, reduce_base=False)
         dden = self.den.derivative(index)
         if dden.is_zero():
-            return ChartExpr(dnum, self.den, self.base, reduce_base=False)
+            return ChartExpr(dnum, self.den, self.base)
         # for den = b^m the quotient rule's common power cancels analytically:
-        # d(n / b^m) = (n' b - m n b') / b^(m+1), and the new numerator is
-        # coprime to an irreducible b, so no reduction pass is needed
+        # d(n / b^m) = (n' b - m n b') / b^(m+1).  Precondition: self is
+        # reduced, so b does not divide n, and b is irreducible, so b does not
+        # divide the new numerator either; no reduction pass is needed
         fac = _single_base_power(self.den, self.base)
-        if fac is not None and fac[1] > 0:
+        if fac is not None:
             b, m = fac
             db = b.derivative(index)
             num = dnum * b - self.num.scale(GaussianRational(m)) * db
-            return ChartExpr(num, self.den * b, self.base, reduce_base=False)
+            return ChartExpr._from_reduced(num, self.den * b, self.base)
         return ChartExpr(
             dnum * self.den - self.num * dden,
             self.den * self.den,
@@ -753,6 +763,10 @@ def reduce(expr, factor_base):
 # -- parsing ------------------------------------------------------------------
 
 _OPERATORS = set("+-*/^()")
+_DIGITS = set("0123456789")
+# the largest exponent magnitude the parser accepts; a power is computed by
+# repeated multiplication, so an unbounded exponent is a denial of service
+MAX_EXPONENT = 64
 
 
 def _tokenize(text):
@@ -767,9 +781,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -784,6 +798,13 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _integer(tok):
+    try:
+        return int(tok[1])
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long", tok[2])
 
 
 class _Parser:
@@ -858,7 +879,11 @@ class _Parser:
                 self.advance()
                 sign = -1
             exp_tok = self.expect("num")
-            exponent = sign * int(exp_tok[1])
+            exponent = sign * _integer(exp_tok)
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {exponent} exceeds the cap of {MAX_EXPONENT}", exp_tok[2]
+                )
             if exponent < 0 and not atomic:
                 raise ParseError(
                     "negative exponent is only allowed on atoms", exp_tok[2]
@@ -873,7 +898,7 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return ChartExpr.constant(self.n, int(text)), True
+            return ChartExpr.constant(self.n, _integer(tok)), True
         if kind == "name":
             if text == "i":
                 return ChartExpr.constant(self.n, GR_I), True

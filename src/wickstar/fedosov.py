@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import weyl
 from .chart import FormSeries, TwoForm
-from .expr import ChartExpr, GaussianRational
+from .expr import ChartExpr, ExprError, GaussianRational
 from .weyl import NuSeries, WeylElement
 
 GR_I = GaussianRational(0, 1)
@@ -92,9 +92,10 @@ def fixed_point(map_fn, start, max_degree):
                         raise ContractViolation(
                             "map has several fixed points; it is not contracting"
                         )
-                except ContractViolation:
-                    raise
-                except Exception:
+                except (FedosovError, ExprError, weyl.NuDivisionError):
+                    # the probe may leave the map's domain (its unit scalar
+                    # part breaks divisibility by nu); any other error is a
+                    # bug and propagates
                     pass
             return x
         x = nxt

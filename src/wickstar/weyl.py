@@ -36,6 +36,10 @@ class DimensionMismatch(Exception):
     pass
 
 
+class NuDivisionError(ValueError):
+    """An element is not divisible by the power of nu a product divides by."""
+
+
 def _combine_trunc(t1, t2):
     if t1 is None:
         return t2
@@ -226,7 +230,7 @@ class WeylElement:
     def div_nu(self, power=1):
         for (p, _, _) in self.terms:
             if p < power:
-                raise ValueError("element is not divisible by nu^%d" % power)
+                raise NuDivisionError("element is not divisible by nu^%d" % power)
         out = WeylElement(self.n, {}, self.truncation)
         for (p, sym, asym), coeff in self.terms.items():
             out._add(p - power, sym, asym, coeff)
@@ -615,7 +619,7 @@ def _shift_down(acc, out_trunc):
     out = WeylElement(acc.n, {}, out_trunc)
     for (p, sym, asym), coeff in acc.terms.items():
         if p < 1:
-            raise ValueError("division by nu left a nu^0 term; cancellation failed")
+            raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
         out._add(p - 1, sym, asym, coeff)
     return out
 

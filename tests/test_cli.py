@@ -2,7 +2,7 @@
 
 import json
 
-from wickstar.cli import main
+from wickstar.cli import MAX_ORDER, main
 
 
 def run(capsys, *argv):
@@ -148,3 +148,45 @@ def test_chart_by_path(capsys, tmp_path):
     code, out, _ = run(capsys, "star", "--chart", str(path), "--f", "z1", "--g", "zb1")
     assert code == 0
     assert out.splitlines()[0] == "order0: z1*zb1"
+
+
+def test_star_disk_order5_golden(capsys):
+    """Curved-chart coefficients are printed fully reduced: each of these
+    is a polynomial, so no denominator appears."""
+    code, out, _ = run(capsys, "star", "--chart", "disk", "--order", "5",
+                       "--f", "z1^2", "--g", "zb1^2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[4] == ("order4: 600*z1^6*zb1^6 - 2208*z1^5*zb1^5 + 3138*z1^4*zb1^4"
+                        " - 2136*z1^3*zb1^3 + 692*z1^2*zb1^2 - 88*z1*zb1 + 2")
+    assert lines[5] == ("order5: -4320*i*z1^7*zb1^7 + 18000*i*z1^6*zb1^6"
+                        " - 29952*i*z1^5*zb1^5 + 25170*i*z1^4*zb1^4 - 11064*i*z1^3*zb1^3"
+                        " + 2348*i*z1^2*zb1^2 - 184*i*z1*zb1 + 2*i")
+    assert len(lines) == 6
+
+
+def test_order_outside_cap_rejected(capsys):
+    for order in ("-3", str(MAX_ORDER + 1)):
+        code, out, err = run(capsys, "verify", "--chart", "c1_flat", "--suite", "algebra",
+                             "--order", order)
+        assert code == 1
+        assert out == ""
+        assert f"outside 0..{MAX_ORDER}" in err
+
+
+def test_exponent_outside_cap_rejected(capsys):
+    code, out, err = run(capsys, "star", "--chart", "c1_flat", "--f", "z1^3000000",
+                         "--g", "zb1")
+    assert code == 1
+    assert out == ""
+    assert "exceeds the cap" in err
+
+
+def test_verify_fedosov_antiwick(capsys):
+    """The fixed-point probe leaves the domain of the antiwick map through
+    a nu division; that is tolerated, not reported as an error."""
+    code, out, _ = run(capsys, "verify", "--chart", "disk", "--product", "antiwick",
+                       "--suite", "fedosov", "--order", "1", "--seed", "2")
+    assert code == 0
+    assert "fixed point from two seeds reproduces the recursion" in out
+    assert "result: all checks passed" in out

@@ -8,6 +8,7 @@ from wickstar.expr import (
     ChartPolynomial,
     ExprDivisionError,
     GaussianRational,
+    MAX_EXPONENT,
     ParseError,
     parse,
     reduce,
@@ -176,3 +177,84 @@ def test_reduce_agrees_with_cross_multiplication(numer, power):
     reduced = reduce(blown, [base_poly])
     assert reduced == numer
     assert reduced.num == numer.num and reduced.den == numer.den
+
+
+# -- canonical form over a factor base ------------------------------------------
+
+DISK_FACTOR = parse("1 - z1*zb1", 1).num
+CP1_FACTOR = parse("1 + z1*zb1", 1).num
+FACTOR_BASES = {
+    "disk": (DISK_FACTOR,),
+    "cp1": (CP1_FACTOR,),
+    "both": (DISK_FACTOR, CP1_FACTOR),
+}
+
+
+def test_base_factor_cancels_against_its_inverse():
+    base = FACTOR_BASES["disk"]
+    product = parse("1 - z1*zb1", 1, base) * parse("1/(1 - z1*zb1)", 1, base)
+    assert product.serialize() == "(1) / (1)"
+
+
+def test_derivative_along_a_coordinate_the_denominator_lacks_is_reduced():
+    base = (parse("1 - z1*zb1", 2).num,)
+    e = parse("(z2*(1 - z1*zb1) + 1)/(1 - z1*zb1)", 2, base)
+    assert e.differentiate(1).serialize() == "(1) / (1)"
+
+
+def test_exponent_cap():
+    assert parse(f"z1^{MAX_EXPONENT}", 1) == parse("z1", 1) ** MAX_EXPONENT
+    for text in (f"z1^{MAX_EXPONENT + 1}", f"z1^-{MAX_EXPONENT + 1}", "z1^3000000"):
+        with pytest.raises(ParseError):
+            parse(text, 1)
+
+
+@st.composite
+def over_base(draw, base):
+    """A value built by random ring operations, division by base factors,
+    coordinates and constants, and differentiation: its denominator factors
+    over the base and the coordinates."""
+    factors = [ChartExpr(b, base=base) for b in base]
+    units = factors + [parse(t, 1, base) for t in ("z1", "zb1", "3", "1 + i")]
+    atoms = units + [parse(t, 1, base) for t in ("0", "2*z1*zb1 - i", "zb1^2")]
+    atoms += [ChartExpr.one(1).with_base(base) / u for u in factors]
+    unit = st.sampled_from(units)
+
+    def extend(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda p: p[0] + p[1]),
+            pair.map(lambda p: p[0] - p[1]),
+            pair.map(lambda p: p[0] * p[1]),
+            st.tuples(children, unit).map(lambda p: p[0] / p[1]),
+            st.tuples(children, st.integers(0, 1)).map(lambda p: p[0].differentiate(p[1])),
+        )
+
+    return draw(st.recursive(st.sampled_from(atoms), extend, max_leaves=6))
+
+
+@st.composite
+def triples_over_a_base(draw):
+    base = FACTOR_BASES[draw(st.sampled_from(sorted(FACTOR_BASES)))]
+    return base, draw(over_base(base)), draw(over_base(base)), draw(over_base(base))
+
+
+@given(triples_over_a_base(), st.integers(0, 1))
+def test_equal_values_serialize_equally(case, var):
+    """x == y implies x.serialize() == y.serialize() for values whose
+    denominators factor over the base: pairs of equal values are built
+    along different routes."""
+    base, a, b, c = case
+    u = ChartExpr(base[-1], base=base)
+    pairs = [
+        (a * (b + c), a * b + a * c),
+        ((a + b) - b, a),
+        ((a * u) / u, a),
+        ((a / u) * u, a),
+        ((a - c) + (c - b), a - b),
+        ((a * b).differentiate(var), a.differentiate(var) * b + a * b.differentiate(var)),
+        (parse(a.serialize(), 1, base), a),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert x.serialize() == y.serialize()

@@ -64,6 +64,29 @@ def test_fixed_point_non_stationary_rejected():
         fixed_point(lambda a: a + one, WeylElement.zero(1, 6), 6)
 
 
+def test_fixed_point_probe_propagates_non_engine_errors():
+    start = WeylElement.zero(1, 6)
+
+    def broken(a):
+        if a != start:
+            raise TypeError("construction bug")
+        return a
+
+    with pytest.raises(TypeError):
+        fixed_point(broken, start, 6)
+
+
+def test_fixed_point_probe_tolerates_engine_errors():
+    start = WeylElement.zero(1, 6)
+
+    def partial(a):
+        if a != start:
+            raise FedosovError("outside the domain of the map")
+        return a
+
+    assert fixed_point(partial, start, 6) == start
+
+
 # -- the connection element ------------------------------------------------------
 
 
@@ -158,6 +181,16 @@ def test_tau_properties(d_disk, p1):
 def test_tau_cached(d_disk, p1):
     f = p1("z1 + zb1")
     assert tau(d_disk, f) is tau(d_disk, f)
+
+
+def test_tau_cache_hit_for_equal_value_built_differently(disk, d_disk):
+    base = disk.factor_base
+    f = parse("z1/(1 - z1*zb1)", 1, base)
+    g = parse("z1 - z1^2*zb1", 1, base) * parse("1/(1 - z1*zb1)^2", 1, base)
+    tf = tau(d_disk, f)
+    size = len(d_disk.tau_cache)
+    assert tau(d_disk, g) is tf
+    assert len(d_disk.tau_cache) == size
 
 
 # -- the star product -----------------------------------------------------------
