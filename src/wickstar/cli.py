@@ -37,6 +37,7 @@ from .fedosov import (
     Report,
     compute_r_via_fixed_point,
     fedosov_D,
+    has_wick_shape,
     hermitian_check,
     karabegov_form,
     parity_transport,
@@ -70,10 +71,20 @@ SUITES = (
 # the largest series order accepted: the cost grows steeply with the order,
 # so an absurd one would run for hours instead of failing
 MAX_ORDER = 16
+# the largest truncation accepted, the one the largest order implies
+MAX_TRUNCATION = 2 * MAX_ORDER + 2
 
 
 class UserError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a user error (exit 1); exit 2 stays
+    reserved for internal contract violations."""
+
+    def error(self, message):
+        raise UserError(message)
 
 
 @dataclass
@@ -88,6 +99,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.order <= MAX_ORDER:
             raise UserError(f"order {self.order} is outside 0..{MAX_ORDER}")
+        if self.truncation is not None and self.truncation > MAX_TRUNCATION:
+            raise UserError(f"truncation {self.truncation} exceeds the cap of {MAX_TRUNCATION}")
 
     @property
     def K(self):
@@ -261,7 +274,7 @@ def _suite_fedosov(chart, config):
 def _suite_wick(chart, config):
     data = FedosovData(config.product, chart, config.K)
     rep = wick_type_check(data, config.order)
-    if weyl.project(data.r, "pi_z").is_zero() and weyl.project(data.r, "pi_zbar").is_zero():
+    if has_wick_shape(data):
         n = chart.n
         rng = Lcg(config.seed).split("wick")
         f = random_polynomial(n, rng, max_degree=2, terms=3)
@@ -279,9 +292,7 @@ def _suite_karabegov(chart, config):
     if chart.potential_gradient is None:
         raise UserError("karabegov suite requires a chart with a potential gradient")
     data = FedosovData(config.product, chart, config.K)
-    structural = weyl.project(data.r, "pi_z").is_zero() \
-        and weyl.project(data.r, "pi_zbar").is_zero() and data.omega.is_type_11()
-    if not structural:
+    if not (has_wick_shape(data) and data.omega.is_type_11()):
         rep.add("characterizing form defined (structural Wick-type conditions)", True)
         rep.note = ("the product is not of Wick type, so no characterizing "
                     "form is defined for it; nothing to extract")
@@ -308,9 +319,7 @@ def _suite_hermitian(chart, config):
     structural = by_name["structural: conj(Omega) = Omega"]
     behavioral = by_name["behavioral: conj(f*g) = conj(g) * conj(f)"]
     rep = Report(title="hermitian")
-    wick_shape = weyl.project(data.r, "pi_z").is_zero() \
-        and weyl.project(data.r, "pi_zbar").is_zero()
-    if wick_shape:
+    if has_wick_shape(data):
         rep.add("structural and behavioral criteria agree", structural == behavioral)
         rep.note = "product is Hermitian" if structural else \
             "product is not Hermitian (both criteria fail, consistently)"
@@ -369,7 +378,7 @@ def _suite_equivalence(chart, config):
     try:
         transform = equivalence_A_h(data, data_s, OneFormSeries.zero(n), N)
         rep.add("equivalence transformation built and intertwines", True)
-        if weyl.project(data.r, "pi_z").is_zero() and weyl.project(data.r, "pi_zbar").is_zero():
+        if has_wick_shape(data):
             fpool = [ChartExpr.variable(n, 0), ChartExpr.variable(n, n)]
             ok = all(transform.apply(f, N) == NuSeries.from_function(f, N) for f in fpool)
             rep.add("normalization independence: the transformation is the identity", ok)
@@ -545,7 +554,7 @@ def cmd_describe(config):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wickstar",
         description="Exact Fedosov star products of Wick type on pseudo-Kähler charts",
     )
@@ -580,9 +589,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = RunConfig(
             chart_path=args.chart,
             product=args.product,

@@ -767,6 +767,9 @@ _DIGITS = set("0123456789")
 # the largest exponent magnitude the parser accepts; a power is computed by
 # repeated multiplication, so an unbounded exponent is a denial of service
 MAX_EXPONENT = 64
+# the largest total degree (numerator plus denominator) of a power's result;
+# nested powers multiply their exponents, so the exponent cap alone is no bound
+MAX_POWER_DEGREE = 64
 
 
 def _tokenize(text):
@@ -798,6 +801,10 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _degree(poly):
+    return max((sum(exp) for exp in poly.terms), default=0)
 
 
 def _integer(tok):
@@ -890,6 +897,11 @@ class _Parser:
                 )
             if exponent < 0 and base.is_zero():
                 raise ParseError("zero to a negative power", exp_tok[2])
+            degree = abs(exponent) * (_degree(base.num) + _degree(base.den))
+            if degree > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", exp_tok[2]
+                )
             return base ** exponent
         return base
 

@@ -507,16 +507,12 @@ def wick_type_check(data, N, witnesses=None, pool=None):
     chart = data.chart
     n = chart.n
     report = Report(title=f"wick type ({chart.name or 'chart'}, {data.kind})")
-    pz_r = weyl.project(data.r, "pi_z")
-    report.add("structural: pi_z r = 0", pz_r.is_zero(),
-               "" if pz_r.is_zero() else f"offending term: {pz_r.serialize()[:120]}")
-    pzb_r = weyl.project(data.r, "pi_zbar")
-    report.add("structural: pi_zbar r = 0", pzb_r.is_zero(),
-               "" if pzb_r.is_zero() else f"offending term: {pzb_r.serialize()[:120]}")
-    pz_s = weyl.project(data.s, "pi_z")
-    report.add("structural: pi_z s = 0", pz_s.is_zero())
-    pzb_s = weyl.project(data.s, "pi_zbar")
-    report.add("structural: pi_zbar s = 0", pzb_s.is_zero())
+    for selector in ("pi_z", "pi_zbar"):
+        part = weyl.project(data.r, selector)
+        report.add(f"structural: {selector} r = 0", part.is_zero(),
+                   "" if part.is_zero() else f"offending term: {part.serialize()[:120]}")
+    for selector in ("pi_z", "pi_zbar"):
+        report.add(f"structural: {selector} s = 0", weyl.project(data.s, selector).is_zero())
     t11 = data.omega.is_type_11()
     report.add("structural: two-form series of type (1,1)", t11)
 
@@ -535,37 +531,25 @@ def wick_type_check(data, N, witnesses=None, pool=None):
     else:
         left_pairs, right_pairs = witnesses
 
-    ok_left = True
-    detail_left = ""
-    for h, g in left_pairs:
-        got = star(data, h, g, N)
-        want = NuSeries.from_function(h * g, N)
-        if got != want:
-            ok_left = False
-            diff = got - want
-            bad = next(r for r, c in enumerate(diff.coeffs) if not c.is_zero())
-            detail_left = (
-                f"h'={h.pretty()}, g={g.pretty()}: order {bad} "
-                f"coefficient {diff.coeffs[bad].pretty()}"
-            )
-            break
-    report.add("behavioral: h' * g = h'g for antiholomorphic h'", ok_left, detail_left)
-
-    ok_right = True
-    detail_right = ""
-    for f, h in right_pairs:
-        got = star(data, f, h, N)
-        want = NuSeries.from_function(f * h, N)
-        if got != want:
-            ok_right = False
-            diff = got - want
-            bad = next(r for r, c in enumerate(diff.coeffs) if not c.is_zero())
-            detail_right = (
-                f"f={f.pretty()}, h={h.pretty()}: order {bad} "
-                f"coefficient {diff.coeffs[bad].pretty()}"
-            )
-            break
-    report.add("behavioral: f * h = fh for holomorphic h", ok_right, detail_right)
+    behavioral = (
+        ("behavioral: h' * g = h'g for antiholomorphic h'", ("h'", "g"), left_pairs),
+        ("behavioral: f * h = fh for holomorphic h", ("f", "h"), right_pairs),
+    )
+    for name, (left, right), pairs in behavioral:
+        ok, detail = True, ""
+        for x, y in pairs:
+            got = star(data, x, y, N)
+            want = NuSeries.from_function(x * y, N)
+            if got != want:
+                ok = False
+                diff = got - want
+                bad = next(r for r, c in enumerate(diff.coeffs) if not c.is_zero())
+                detail = (
+                    f"{left}={x.pretty()}, {right}={y.pretty()}: order {bad} "
+                    f"coefficient {diff.coeffs[bad].pretty()}"
+                )
+                break
+        report.add(name, ok, detail)
     report.note = (
         "behavioral checks are finite-order evidence on polynomial witnesses; "
         "the structural conditions are the exact characterization"
@@ -573,36 +557,41 @@ def wick_type_check(data, N, witnesses=None, pool=None):
     return report
 
 
-def pi_z_tau_fast(data, f):
-    """pi_z tau(f) by the reduced holomorphic recursion (needs pi_z r = 0)."""
-    if not weyl.project(data.r, "pi_z").is_zero():
-        raise FedosovError("reduced recursion requires pi_z r = 0")
+def has_wick_shape(data):
+    """pi_z r = pi_zbar r = 0: the structural Wick-type conditions on r."""
+    return weyl.project(data.r, "pi_z").is_zero() and weyl.project(data.r, "pi_zbar").is_zero()
+
+
+def _projected_tau(data, f, hol):
+    """pi_z tau(f) (hol) or pi_zbar tau(f) by the reduced recursion, which
+    needs the same projection of r to vanish."""
+    selector = "pi_z" if hol else "pi_zbar"
+    if not weyl.project(data.r, selector).is_zero():
+        raise FedosovError(f"reduced recursion requires {selector} r = 0")
     chart, conn, kind, K = data.chart, data.conn, data.kind, data.K
     f0 = WeylElement.scalar(f, truncation=K)
+    nabla_half = weyl.nabla_z if hol else weyl.nabla_zbar
+    delta_half_inv = weyl.delta_z_inv if hol else weyl.delta_zbar_inv
 
     def step(a):
-        prod = weyl.circ(a, data.r, kind, chart, trunc=K + 1)
-        over = weyl.project(prod, "pi_z").div_nu(1).truncate(K - 1)
-        inner = weyl.nabla_z(a, chart, conn).truncate(K - 1) + over
-        return (f0 + weyl.delta_z_inv(inner.with_truncation(None))).truncate(K)
+        left, right = (a, data.r) if hol else (data.r, a)
+        prod = weyl.circ(left, right, kind, chart, trunc=K + 1)
+        over = weyl.project(prod, selector).div_nu(1).truncate(K - 1)
+        half = nabla_half(a, chart, conn).truncate(K - 1)
+        inner = half + over if hol else half - over
+        return (f0 + delta_half_inv(inner.with_truncation(None))).truncate(K)
 
     return fixed_point(step, f0, K)
+
+
+def pi_z_tau_fast(data, f):
+    """pi_z tau(f) by the reduced holomorphic recursion (needs pi_z r = 0)."""
+    return _projected_tau(data, f, True)
 
 
 def pi_zbar_tau_fast(data, f):
     """pi_zbar tau(f) by the mirror reduced recursion (needs pi_zbar r = 0)."""
-    if not weyl.project(data.r, "pi_zbar").is_zero():
-        raise FedosovError("reduced recursion requires pi_zbar r = 0")
-    chart, conn, kind, K = data.chart, data.conn, data.kind, data.K
-    f0 = WeylElement.scalar(f, truncation=K)
-
-    def step(a):
-        prod = weyl.circ(data.r, a, kind, chart, trunc=K + 1)
-        over = weyl.project(prod, "pi_zbar").div_nu(1).truncate(K - 1)
-        inner = weyl.nabla_zbar(a, chart, conn).truncate(K - 1) - over
-        return (f0 + weyl.delta_zbar_inv(inner.with_truncation(None))).truncate(K)
-
-    return fixed_point(step, f0, K)
+    return _projected_tau(data, f, False)
 
 
 def star_via_projections(data, f, g, N):
@@ -665,6 +654,17 @@ def _exp_ad_sigma(data, h, x, N, sign=1):
     return weyl.to_nu_series(total, N)
 
 
+def _extend_over_series(fn, f, N):
+    """The nu-linear extension of fn(function, order) -> series to a series f."""
+    out = NuSeries.zeros(f.coeffs[0].n, N)
+    for a, c in enumerate(f.coeffs[: N + 1]):
+        if c.is_zero():
+            continue
+        for r, v in enumerate(fn(c, N - a).coeffs):
+            out.coeffs[r + a] = out.coeffs[r + a] + v
+    return out
+
+
 class EquivalenceTransform:
     """A_h f = sigma(exp((1/nu) ad(h)) tau(f)) between two data sets."""
 
@@ -675,26 +675,12 @@ class EquivalenceTransform:
 
     def apply(self, f, N):
         if isinstance(f, NuSeries):
-            out = NuSeries.zeros(self.data.chart.n, N)
-            for a, c in enumerate(f.coeffs[: N + 1]):
-                if c.is_zero():
-                    continue
-                sub = self.apply(c, N - a)
-                for r, v in enumerate(sub.coeffs):
-                    out.coeffs[r + a] = out.coeffs[r + a] + v
-            return out
+            return _extend_over_series(self.apply, f, N)
         return _exp_ad_sigma(self.data, self.h, tau(self.data, f), N, sign=1)
 
     def apply_inverse(self, f, N):
         if isinstance(f, NuSeries):
-            out = NuSeries.zeros(self.data.chart.n, N)
-            for a, c in enumerate(f.coeffs[: N + 1]):
-                if c.is_zero():
-                    continue
-                sub = self.apply_inverse(c, N - a)
-                for r, v in enumerate(sub.coeffs):
-                    out.coeffs[r + a] = out.coeffs[r + a] + v
-            return out
+            return _extend_over_series(self.apply_inverse, f, N)
         return _exp_ad_sigma(self.data, self.h, tau(self.data_prime, f), N, sign=-1)
 
 
@@ -773,31 +759,18 @@ def _poly_antiderivative(poly_expr, var):
     return ChartExpr(ChartPolynomial(num.nvars, out), base=poly_expr.base)
 
 
-def _solve_gradient_ahol(chart, w):
-    """u with Zb_l u = w_l for a closed collection of polynomial coefficients."""
+def _solve_gradient(chart, w, offset):
+    """u with d u / d x_{offset+l} = w_l for a closed collection of polynomial
+    coefficients: offset 0 solves along Z_l, offset n along Zb_l."""
     n = chart.n
     u = ChartExpr.zero(n)
     for l in range(n):
-        target = w.get(l, ChartExpr.zero(n)) - u.differentiate(n + l)
+        target = w.get(l, ChartExpr.zero(n)) - u.differentiate(offset + l)
         if target.is_zero():
             continue
-        u = u + _poly_antiderivative(target, n + l)
+        u = u + _poly_antiderivative(target, offset + l)
     for l in range(n):
-        if u.differentiate(n + l) != w.get(l, ChartExpr.zero(n)):
-            raise FedosovError("two-form series admits no polynomial potential gradient")
-    return u
-
-
-def _solve_gradient_hol(chart, w):
-    n = chart.n
-    u = ChartExpr.zero(n)
-    for k in range(n):
-        target = w.get(k, ChartExpr.zero(n)) - u.differentiate(k)
-        if target.is_zero():
-            continue
-        u = u + _poly_antiderivative(target, k)
-    for k in range(n):
-        if u.differentiate(k) != w.get(k, ChartExpr.zero(n)):
+        if u.differentiate(offset + l) != w.get(l, ChartExpr.zero(n)):
             raise FedosovError("two-form series admits no polynomial potential gradient")
     return u
 
@@ -835,22 +808,21 @@ def karabegov_form(data, N, pool=None):
     n = chart.n
     if chart.potential_gradient is None:
         raise FedosovError("chart has no potential gradient")
-    structural = (
-        weyl.project(data.r, "pi_z").is_zero()
-        and weyl.project(data.r, "pi_zbar").is_zero()
-        and data.omega.is_type_11()
-    )
-    if not structural:
+    if not (has_wick_shape(data) and data.omega.is_type_11()):
         raise FedosovError("data does not satisfy the structural Wick-type conditions")
 
     closed = FormSeries(n, [(0, chart.omega)] + data.omega.items())
 
+    # the anti-Wick kind mirrors the Wick one: u_k becomes ub_k, whose own
+    # coordinate zb_k sits at offset n, and the relations change sign
     if data.kind == "wick":
-        base = list(chart.potential_gradient)
+        base, offset, sign = list(chart.potential_gradient), 0, 1
     elif data.kind == "antiwick":
-        base = [-(g.conjugate()) for g in chart.potential_gradient]
+        base, offset, sign = [-(g.conjugate()) for g in chart.potential_gradient], n, -1
     else:
         raise FedosovError("the characterizing form applies to wick and antiwick kinds")
+    bar = "b" if offset else ""
+    zero = ChartExpr.zero(n)
 
     # gradients of the two-form potentials, one series per coordinate
     u = [NuSeries.from_function(base[k], N) for k in range(n)]
@@ -863,79 +835,48 @@ def karabegov_form(data, N, pool=None):
                 u[k].coeffs[power] = u[k].coeffs[power] + base[k].scale(ratio)
             continue
         for k in range(n):
-            if data.kind == "wick":
-                w = {l: form.insert_hol(k).ahol.get(l, ChartExpr.zero(n)) for l in range(n)}
-                u[k].coeffs[power] = u[k].coeffs[power] + _solve_gradient_ahol(chart, w)
-            else:
-                w = {kk: (-form.insert_ahol(k)).hol.get(kk, ChartExpr.zero(n)) for kk in range(n)}
-                u[k].coeffs[power] = u[k].coeffs[power] + _solve_gradient_hol(chart, w)
+            inserted = form.insert_ahol(k).hol if offset else form.insert_hol(k).ahol
+            w = {l: inserted.get(l, zero).scale(sign) for l in range(n)}
+            u[k].coeffs[power] = u[k].coeffs[power] + _solve_gradient(chart, w, n - offset)
 
     # the defining star-product relations
     pool = pool if pool is not None else default_pool(chart, count=3)
     for k in range(n):
-        if data.kind == "wick":
-            for l in range(n):
-                zl = ChartExpr.variable(n, l)
-                comm = star_series(data, u[k], zl, N) - star_series(data, zl, u[k], N)
-                want = NuSeries.zeros(n, N)
-                if k == l:
-                    want.coeffs[1] = ChartExpr.constant(n, -1)
-                if comm != want:
-                    raise ContractViolation(
-                        f"u_{k+1} fails the commutation relation with z{l+1}"
-                    )
-            for f in pool:
-                lhs = star_series(data, f, u[k], N)
-                rhs = NuSeries.zeros(n, N)
-                for p, c in enumerate(u[k].coeffs):
-                    if not c.is_zero():
-                        rhs.coeffs[p] = rhs.coeffs[p] + f * c
-                df = f.differentiate(k)
-                if not df.is_zero():
-                    rhs.coeffs[1] = rhs.coeffs[1] + df
-                if lhs != rhs:
-                    raise ContractViolation(
-                        f"u_{k+1} fails f * u = f u + nu Z(f) on f={f.pretty()}"
-                    )
-        else:
-            for l in range(n):
-                zbl = ChartExpr.variable(n, n + l)
-                comm = star_series(data, u[k], zbl, N) - star_series(data, zbl, u[k], N)
-                want = NuSeries.zeros(n, N)
-                if k == l:
-                    want.coeffs[1] = ChartExpr.constant(n, 1)
-                if comm != want:
-                    raise ContractViolation(
-                        f"ub_{k+1} fails the commutation relation with zb{l+1}"
-                    )
-            for f in pool:
-                lhs = star_series(data, f, u[k], N)
-                rhs = NuSeries.zeros(n, N)
-                for p, c in enumerate(u[k].coeffs):
-                    if not c.is_zero():
-                        rhs.coeffs[p] = rhs.coeffs[p] + f * c
-                df = f.differentiate(n + k)
-                if not df.is_zero():
-                    rhs.coeffs[1] = rhs.coeffs[1] - df
-                if lhs != rhs:
-                    raise ContractViolation(
-                        f"ub_{k+1} fails f * ub = f ub - nu Zb(f) on f={f.pretty()}"
-                    )
+        for l in range(n):
+            zl = ChartExpr.variable(n, offset + l)
+            comm = star_series(data, u[k], zl, N) - star_series(data, zl, u[k], N)
+            want = NuSeries.zeros(n, N)
+            if k == l and N >= 1:
+                want.coeffs[1] = ChartExpr.constant(n, -sign)
+            if comm != want:
+                raise ContractViolation(
+                    f"u{bar}_{k+1} fails the commutation relation with z{bar}{l+1}"
+                )
+        for f in pool:
+            lhs = star_series(data, f, u[k], N)
+            rhs = NuSeries.zeros(n, N)
+            for p, c in enumerate(u[k].coeffs):
+                if not c.is_zero():
+                    rhs.coeffs[p] = rhs.coeffs[p] + f * c
+            df = f.differentiate(offset + k)
+            if not df.is_zero() and N >= 1:
+                rhs.coeffs[1] = rhs.coeffs[1] + df.scale(sign)
+            if lhs != rhs:
+                raise ContractViolation(
+                    f"u{bar}_{k+1} fails f * u{bar} = f u{bar} {'+' if sign > 0 else '-'} "
+                    f"nu Z{bar}(f) on f={f.pretty()}"
+                )
 
-    # assembly of the extracted form
+    # assembly of the extracted form: the (k, l) entry is Zb_l u_k, or Z_k ub_l
     extracted_entries = []
     for power in range(N + 1):
         hm = {}
         for k in range(n):
             for l in range(n):
-                if data.kind == "wick":
-                    c = u[k].coeffs[power].differentiate(n + l)
-                    if not c.is_zero():
-                        hm[(k, l)] = c
-                else:
-                    c = u[l].coeffs[power].differentiate(k)
-                    if not c.is_zero():
-                        hm[(k, l)] = hm.get((k, l), ChartExpr.zero(n)) + c
+                idx, var = (l, k) if offset else (k, n + l)
+                c = u[idx].coeffs[power].differentiate(var)
+                if not c.is_zero():
+                    hm[(k, l)] = c
         extracted_entries.append((power, TwoForm(n, hm=hm)))
     extracted = FormSeries(n, extracted_entries)
 
@@ -1103,13 +1044,6 @@ def weyl_transport(data):
 def weyl_transport_map(data_weyl, f, N):
     """f -> sigma(S tau'(f)) for the transported Weyl-kind data."""
     if isinstance(f, NuSeries):
-        out = NuSeries.zeros(data_weyl.chart.n, N)
-        for a, c in enumerate(f.coeffs[: N + 1]):
-            if c.is_zero():
-                continue
-            sub = weyl_transport_map(data_weyl, c, N - a)
-            for r, v in enumerate(sub.coeffs):
-                out.coeffs[r + a] = out.coeffs[r + a] + v
-        return out
+        return _extend_over_series(lambda c, M: weyl_transport_map(data_weyl, c, M), f, N)
     t = tau(data_weyl, f)
     return weyl.to_nu_series(weyl.sigma(weyl.fib_equiv_S(t, data_weyl.chart, "forward")), N)

@@ -55,13 +55,12 @@ def _popcount_below(mask, j):
     return bin(mask & ((1 << j) - 1)).count("1")
 
 
-def _insert_sign(j, mask):
-    """Sign of wedging symbol j from the left onto the sorted word `mask`."""
-    return -1 if _popcount_below(mask, j) & 1 else 1
+def _pass_sign(j, mask):
+    """Sign of moving symbol j past the symbols of the sorted word `mask` below it.
 
-
-def _remove_sign(j, mask):
-    """Sign of the antisymmetric insertion removing symbol j (acting from the left)."""
+    This is the sign of wedging j onto the word from the left, and of the
+    antisymmetric insertion removing j from it.
+    """
     return -1 if _popcount_below(mask, j) & 1 else 1
 
 
@@ -91,7 +90,7 @@ def _subst_sign(mask, old, new):
     rest = mask & ~(1 << old)
     if rest & (1 << new):
         return 0
-    s = _remove_sign(old, mask)
+    s = _pass_sign(old, mask)
     if _popcount_below(rest, new) & 1:
         s = -s
     return s
@@ -408,20 +407,31 @@ def mu(a, b, trunc=None):
 # -- fibrewise deformed products -------------------------------------------------
 
 
+# The contraction rule of each fibrewise product: its contraction directions,
+# each a pair (left factor gives its antiholomorphic symbol, scale of the
+# metric coupling g^{kl}).  Wick contracts dz of the left factor against dzb
+# of the right one, anti-Wick the reverse, and Weyl both at half strength,
+# the second with the opposite sign.
+_CONTRACTIONS = {
+    "weyl": ((False, INV_I), (True, GR_I)),
+    "wick": ((False, TWO_OVER_I),),
+    "antiwick": ((True, MINUS_TWO_OVER_I),),
+}
+
+
 def _coupling_table(kind, chart):
-    """Cached scaled metric couplings of the fibrewise contraction."""
+    """Cached scaled metric couplings of the fibrewise contraction, one table
+    per contraction direction."""
     memo = chart.contraction_memo("_couplings")
     hit = memo.get(kind)
     if hit is not None:
         return hit
     n = chart.n
     ginv = chart.inverse_metric
-    if kind == "wick":
-        table = [[ginv[k][l].scale(TWO_OVER_I) for l in range(n)] for k in range(n)]
-    elif kind == "antiwick":
-        table = [[ginv[k][l].scale(MINUS_TWO_OVER_I) for l in range(n)] for k in range(n)]
-    else:
-        table = [[ginv[k][l].scale(INV_I) for l in range(n)] for k in range(n)]
+    table = [
+        [[ginv[k][l].scale(scale) for l in range(n)] for k in range(n)]
+        for _, scale in _CONTRACTIONS[kind]
+    ]
     memo[kind] = table
     return table
 
@@ -429,46 +439,16 @@ def _coupling_table(kind, chart):
 def _contraction_steps(kind, chart, m1, m2):
     """Yield (new_m1, new_m2, coupling, multiplicity) for one insertion step."""
     n = chart.n
-    table = _coupling_table(kind, chart)
-    if kind == "wick":
-        for k in range(n):
-            e1 = m1[k]
-            if not e1:
-                continue
-            for l in range(n):
-                e2 = m2[n + l]
-                if not e2:
-                    continue
-                nm1 = list(m1); nm1[k] -= 1
-                nm2 = list(m2); nm2[n + l] -= 1
-                yield tuple(nm1), tuple(nm2), table[k][l], e1 * e2
-    elif kind == "antiwick":
-        for l in range(n):
-            e1 = m1[n + l]
-            if not e1:
-                continue
-            for k in range(n):
-                e2 = m2[k]
-                if not e2:
-                    continue
-                nm1 = list(m1); nm1[n + l] -= 1
-                nm2 = list(m2); nm2[k] -= 1
-                yield tuple(nm1), tuple(nm2), table[k][l], e1 * e2
-    else:  # weyl: symmetric half-strength contractions in both directions
+    tables = _coupling_table(kind, chart)
+    for (flipped, _), table in zip(_CONTRACTIONS[kind], tables):
         for k in range(n):
             for l in range(n):
-                e1 = m1[k]
-                e2 = m2[n + l]
+                i, j = (n + l, k) if flipped else (k, n + l)
+                e1, e2 = m1[i], m2[j]
                 if e1 and e2:
-                    nm1 = list(m1); nm1[k] -= 1
-                    nm2 = list(m2); nm2[n + l] -= 1
+                    nm1 = list(m1); nm1[i] -= 1
+                    nm2 = list(m2); nm2[j] -= 1
                     yield tuple(nm1), tuple(nm2), table[k][l], e1 * e2
-                e1b = m1[n + l]
-                e2b = m2[k]
-                if e1b and e2b:
-                    nm1 = list(m1); nm1[n + l] -= 1
-                    nm2 = list(m2); nm2[k] -= 1
-                    yield tuple(nm1), tuple(nm2), -table[k][l], e1b * e2b
 
 
 def _pair_contractions(kind, chart, m1, m2):
@@ -503,45 +483,27 @@ def _pair_contractions(kind, chart, m1, m2):
     return result
 
 
-def circ(a, b, kind, chart, trunc=None):
-    """Fibrewise deformed product of the requested kind.
+def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
+    """The one pair loop behind the fibrewise products: a.b, or with
+    `commutator` ad(a)b = a.b - (-1)^(|a||b|) b.a, divided by nu if `over_nu`.
 
-    By default the result carries the smaller of the factors' truncations;
-    an explicit `trunc` overrides it (the recursions use a small headroom
-    above the stored truncation where exactness of the extra degrees is
-    guaranteed by the factors' minimal degrees).
+    For a term pair the backward product of a commutator picks up the wedge
+    sign of the swapped antisymmetric words, which cancels the Koszul sign,
+    so each pair contributes  wedge_sign * c1*c2 * (forward - backward)
+    contraction factors.  Their level-0 pointwise parts cancel exactly and
+    are skipped.  Contractions keep the total degree of a pair, so pairs
+    beyond the output truncation (raised by 2 when dividing by nu) are never
+    formed.  A nu^0 term left after the division means the pointwise parts
+    did not cancel.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
     if a.n != b.n or a.n != chart.n:
         raise DimensionMismatch("chart dimensions differ")
-    out_trunc = trunc if trunc is not None else _combine_trunc(a.truncation, b.truncation)
+    shift = 1 if over_nu else 0
+    cap = None if out_trunc is None else out_trunc + 2 * shift
+    first = 1 if commutator else 0
     out = WeylElement(a.n, {}, out_trunc)
-    for (p1, m1, a1), c1 in a.terms.items():
-        d1 = sum(m1) + 2 * p1
-        for (p2, m2, a2), c2 in b.terms.items():
-            if out_trunc is not None and d1 + sum(m2) + 2 * p2 > out_trunc:
-                continue
-            mask, sign = _wedge(a1, a2)
-            if mask is None:
-                continue
-            cc = c1 * c2
-            if sign < 0:
-                cc = -cc
-            for level, u, v, factor in _pair_contractions(kind, chart, m1, m2):
-                sym = tuple(x + y for x, y in zip(u, v))
-                out._add(p1 + p2 + level, sym, mask, cc * factor)
-    return out
-
-
-def _accumulate_commutator(acc, a, b, kind, chart, cap, drop_level0):
-    """Add ad(a)b = a.b - (-1)^(|a||b|) b.a into `acc`, pairwise.
-
-    For a term pair the backward product picks up the wedge sign of the
-    swapped antisymmetric words, which cancels the Koszul sign, so each
-    pair contributes  wedge_sign * c1*c2 * (forward - backward) contraction
-    factors.  The level-0 pointwise parts cancel exactly and may be skipped.
-    """
     for (p1, m1, a1), c1 in a.terms.items():
         d1 = sum(m1) + 2 * p1
         for (p2, m2, a2), c2 in b.terms.items():
@@ -553,26 +515,35 @@ def _accumulate_commutator(acc, a, b, kind, chart, cap, drop_level0):
             cc = c1 * c2
             if sign < 0:
                 cc = -cc
-            for level, u, v, factor in _pair_contractions(kind, chart, m1, m2):
-                if drop_level0 and level == 0:
-                    continue
+            p = p1 + p2 - shift
+            for level, u, v, factor in _pair_contractions(kind, chart, m1, m2)[first:]:
                 sym = tuple(x + y for x, y in zip(u, v))
-                acc._add(p1 + p2 + level, sym, mask, cc * factor)
-            for level, u, v, factor in _pair_contractions(kind, chart, m2, m1):
-                if drop_level0 and level == 0:
-                    continue
-                sym = tuple(x + y for x, y in zip(u, v))
-                acc._add(p1 + p2 + level, sym, mask, -(cc * factor))
+                out._add(p + level, sym, mask, cc * factor)
+            if commutator:
+                for level, u, v, factor in _pair_contractions(kind, chart, m2, m1)[1:]:
+                    sym = tuple(x + y for x, y in zip(u, v))
+                    out._add(p + level, sym, mask, -(cc * factor))
+    if over_nu and any(p < 0 for p, _, _ in out.terms):
+        raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
+    return out
+
+
+def circ(a, b, kind, chart, trunc=None):
+    """Fibrewise deformed product of the requested kind.
+
+    By default the result carries the smaller of the factors' truncations;
+    an explicit `trunc` overrides it (the recursions use a small headroom
+    above the stored truncation where exactness of the extra degrees is
+    guaranteed by the factors' minimal degrees).
+    """
+    out_trunc = trunc if trunc is not None else _combine_trunc(a.truncation, b.truncation)
+    return _pair_products(a, b, kind, chart, out_trunc, False, False)
 
 
 def ad(a, b, kind, chart, trunc=None):
     """Graded super-commutator ad(a)b = a.b - (-1)^(|a||b|) b.a (deg_a grading)."""
-    if a.n != b.n or a.n != chart.n:
-        raise DimensionMismatch("chart dimensions differ")
     out_trunc = trunc if trunc is not None else _combine_trunc(a.truncation, b.truncation)
-    out = WeylElement(a.n, {}, out_trunc)
-    _accumulate_commutator(out, a, b, kind, chart, out_trunc, drop_level0=False)
-    return out
+    return _pair_products(a, b, kind, chart, out_trunc, False, True)
 
 
 def ad_over_nu(a, b, kind, chart, out_trunc):
@@ -584,10 +555,7 @@ def ad_over_nu(a, b, kind, chart, out_trunc):
     out_trunc <= K - 1 so no components beyond the factors' truncation
     are required.
     """
-    acc = WeylElement(a.n, {}, None)
-    cap = None if out_trunc is None else out_trunc + 2
-    _accumulate_commutator(acc, a, b, kind, chart, cap, drop_level0=True)
-    return _shift_down(acc, out_trunc)
+    return _pair_products(a, b, kind, chart, out_trunc, True, True)
 
 
 def circ_over_nu(a, b, kind, chart, out_trunc):
@@ -596,32 +564,7 @@ def circ_over_nu(a, b, kind, chart, out_trunc):
     Used by the recursion for the connection element, whose quadratic term
     has an identically vanishing pointwise part (odd antisymmetric degree).
     """
-    acc = WeylElement(a.n, {}, None)
-    cap = None if out_trunc is None else out_trunc + 2
-    for (p1, m1, a1), c1 in a.terms.items():
-        d1 = sum(m1) + 2 * p1
-        for (p2, m2, a2), c2 in b.terms.items():
-            if cap is not None and d1 + sum(m2) + 2 * p2 > cap:
-                continue
-            mask, sign = _wedge(a1, a2)
-            if mask is None:
-                continue
-            cc = c1 * c2
-            if sign < 0:
-                cc = -cc
-            for level, u, v, factor in _pair_contractions(kind, chart, m1, m2):
-                sym = tuple(x + y for x, y in zip(u, v))
-                acc._add(p1 + p2 + level, sym, mask, cc * factor)
-    return _shift_down(acc, out_trunc)
-
-
-def _shift_down(acc, out_trunc):
-    out = WeylElement(acc.n, {}, out_trunc)
-    for (p, sym, asym), coeff in acc.terms.items():
-        if p < 1:
-            raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
-        out._add(p - 1, sym, asym, coeff)
-    return out
+    return _pair_products(a, b, kind, chart, out_trunc, True, False)
 
 
 def full_contraction_value(m1, m2, kind, chart):
@@ -669,16 +612,15 @@ def _is_diagonal_metric(chart):
 
 def _mirror_multiset(m, n, kind):
     """The unique fully-contractible partner of a sym multiset when the
-    metric is diagonal, or None if the multiset cannot deplete."""
+    metric is diagonal, or None if the multiset cannot deplete.
+
+    Every dz pairs with a dzb of the partner and vice versa, so the partner
+    is the swapped multiset; Wick contracts only the left factor's dz and
+    anti-Wick only its dzb.
+    """
     hol, ahol = m[:n], m[n:]
-    if kind == "wick":
-        if any(ahol):
-            return None
-        return (0,) * n + hol
-    if kind == "antiwick":
-        if any(hol):
-            return None
-        return ahol + (0,) * n
+    if kind == "wick" and any(ahol) or kind == "antiwick" and any(hol):
+        return None
     return ahol + hol
 
 
@@ -730,19 +672,44 @@ def sigma_circ(a, b, kind, chart, max_nu):
 # -- structural operators ---------------------------------------------------------
 
 
-def delta(a):
-    """(1 x dz^i) i_s(Z_i) + (1 x dzb^i) i_s(Zb_i): lowers sym, raises asym."""
+def _delta(a, lo, hi):
+    """The part of delta over the symbols lo..hi-1: lowers sym, raises asym."""
     out = WeylElement(a.n, {}, a.truncation)
     for (p, sym, asym), coeff in a.terms.items():
-        for j, e in enumerate(sym):
+        for j in range(lo, hi):
+            e = sym[j]
             if not e or (asym >> j) & 1:
                 continue
             nm = list(sym)
             nm[j] -= 1
-            sign = _insert_sign(j, asym)
-            c = coeff.scale(GaussianRational(e if sign > 0 else -e))
-            out._add(p, tuple(nm), asym | (1 << j), c)
+            sign = _pass_sign(j, asym)
+            out._add(p, tuple(nm), asym | (1 << j), coeff.scale(GaussianRational(sign * e)))
     return out
+
+
+def _delta_inv(a, lo, hi):
+    """The inverse of _delta(a, lo, hi) off its kernel: delta_star over the
+    symbols lo..hi-1, scaled by 1/(deg_s + deg_a) counted over those symbols
+    per term; terms of counted degree zero are killed."""
+    window = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+    out = WeylElement(a.n, {}, a.truncation)
+    for (p, sym, asym), coeff in a.terms.items():
+        bits = asym & window
+        total = sum(sym[lo:hi]) + bin(bits).count("1")
+        if total == 0:
+            continue
+        inv = GaussianRational(Fraction(1, total))
+        for j in _iter_bits(bits):
+            nm = list(sym)
+            nm[j] += 1
+            sign = _pass_sign(j, asym)
+            out._add(p, tuple(nm), asym & ~(1 << j), coeff.scale(inv if sign > 0 else -inv))
+    return out
+
+
+def delta(a):
+    """(1 x dz^i) i_s(Z_i) + (1 x dzb^i) i_s(Zb_i): lowers sym, raises asym."""
+    return _delta(a, 0, 2 * a.n)
 
 
 def delta_star(a):
@@ -752,7 +719,7 @@ def delta_star(a):
         for j in _iter_bits(asym):
             nm = list(sym)
             nm[j] += 1
-            sign = _remove_sign(j, asym)
+            sign = _pass_sign(j, asym)
             c = coeff if sign > 0 else -coeff
             out._add(p, tuple(nm), asym & ~(1 << j), c)
     return out
@@ -760,19 +727,7 @@ def delta_star(a):
 
 def delta_inv(a):
     """delta_star scaled by 1/(deg_s + deg_a) per term, killing the (0,0) part."""
-    out = WeylElement(a.n, {}, a.truncation)
-    for (p, sym, asym), coeff in a.terms.items():
-        total = sum(sym) + bin(asym).count("1")
-        if total == 0:
-            continue
-        inv = GaussianRational(Fraction(1, total))
-        for j in _iter_bits(asym):
-            nm = list(sym)
-            nm[j] += 1
-            sign = _remove_sign(j, asym)
-            c = coeff.scale(inv if sign > 0 else -inv)
-            out._add(p, tuple(nm), asym & ~(1 << j), c)
-    return out
+    return _delta_inv(a, 0, 2 * a.n)
 
 
 def sigma(a):
@@ -797,16 +752,16 @@ def to_nu_series(a, order, param="nu"):
 def _nabla_direction(a, chart, conn, k, hol, out):
     """Covariant derivative along Z_k (hol) or Zb_k, wedged from the left."""
     n = a.n
-    wedge_bit = k if hol else n + k
+    offset = 0 if hol else n
+    wedge_bit = offset + k
     gamma = conn.christoffel if hol else conn.christoffel_bar
-    var = k if hol else n + k
+    window = ((1 << n) - 1) << offset
     for (p, sym, asym), coeff in a.terms.items():
         pieces = []
-        dc = coeff.differentiate(var)
+        dc = coeff.differentiate(wedge_bit)
         if not dc.is_zero():
-            pieces.append((sym, None, dc))
+            pieces.append((sym, asym, dc))
         # sym substitutions
-        offset = 0 if hol else n
         for aidx in range(n):
             e = sym[offset + aidx]
             if not e:
@@ -818,13 +773,9 @@ def _nabla_direction(a, chart, conn, k, hol, out):
                 nm = list(sym)
                 nm[offset + aidx] -= 1
                 nm[offset + l] += 1
-                pieces.append((tuple(nm), None, (coeff * g).scale(GaussianRational(-e))))
+                pieces.append((tuple(nm), asym, (coeff * g).scale(GaussianRational(-e))))
         # asym substitutions
-        for bit in _iter_bits(asym):
-            if hol and bit >= n:
-                continue
-            if not hol and bit < n:
-                continue
+        for bit in _iter_bits(asym & window):
             aidx = bit - offset
             for l in range(n):
                 g = gamma[aidx][k][l]
@@ -835,35 +786,34 @@ def _nabla_direction(a, chart, conn, k, hol, out):
                     continue
                 new_mask = (asym & ~(1 << bit)) | (1 << (offset + l))
                 pieces.append((sym, new_mask, (coeff * g).scale(GaussianRational(-ssign))))
-        for nsym, nmask, c in pieces:
-            mask = asym if nmask is None else nmask
+        for nsym, mask, c in pieces:
             if (mask >> wedge_bit) & 1:
                 continue
-            s = _insert_sign(wedge_bit, mask)
+            s = _pass_sign(wedge_bit, mask)
             out._add(p, nsym, mask | (1 << wedge_bit), c if s > 0 else -c)
+
+
+def _nabla(a, chart, conn, sides):
+    """The covariant derivative along the directions of the given sides
+    (True: holomorphic, False: antiholomorphic)."""
+    out = WeylElement(a.n, {}, a.truncation)
+    for k in range(a.n):
+        for hol in sides:
+            _nabla_direction(a, chart, conn, k, hol, out)
+    return out
 
 
 def nabla(a, chart, conn):
     """The covariant derivative as an antisymmetric-degree-1 super-derivation."""
-    out = WeylElement(a.n, {}, a.truncation)
-    for k in range(a.n):
-        _nabla_direction(a, chart, conn, k, True, out)
-        _nabla_direction(a, chart, conn, k, False, out)
-    return out
+    return _nabla(a, chart, conn, (True, False))
 
 
 def nabla_z(a, chart, conn):
-    out = WeylElement(a.n, {}, a.truncation)
-    for k in range(a.n):
-        _nabla_direction(a, chart, conn, k, True, out)
-    return out
+    return _nabla(a, chart, conn, (True,))
 
 
 def nabla_zbar(a, chart, conn):
-    out = WeylElement(a.n, {}, a.truncation)
-    for k in range(a.n):
-        _nabla_direction(a, chart, conn, k, False, out)
-    return out
+    return _nabla(a, chart, conn, (False,))
 
 
 # -- holomorphic / antiholomorphic splittings --------------------------------------
@@ -914,89 +864,21 @@ def project(a, selector, pq=None):
 
 
 def delta_z(a):
-    out = WeylElement(a.n, {}, a.truncation)
-    n = a.n
-    for (p, sym, asym), coeff in a.terms.items():
-        for j in range(n):
-            e = sym[j]
-            if not e or (asym >> j) & 1:
-                continue
-            nm = list(sym)
-            nm[j] -= 1
-            sign = _insert_sign(j, asym)
-            out._add(p, tuple(nm), asym | (1 << j), coeff.scale(GaussianRational(e if sign > 0 else -e)))
-    return out
+    return _delta(a, 0, a.n)
 
 
 def delta_zbar(a):
-    out = WeylElement(a.n, {}, a.truncation)
-    n = a.n
-    for (p, sym, asym), coeff in a.terms.items():
-        for j in range(n, 2 * n):
-            e = sym[j]
-            if not e or (asym >> j) & 1:
-                continue
-            nm = list(sym)
-            nm[j] -= 1
-            sign = _insert_sign(j, asym)
-            out._add(p, tuple(nm), asym | (1 << j), coeff.scale(GaussianRational(e if sign > 0 else -e)))
-    return out
-
-
-def _delta_split_inv(a, hol):
-    """Inverse of the holomorphic (or antiholomorphic) half of delta.
-
-    The counting degrees are the holomorphic-only (resp. antiholomorphic-
-    only) symmetric and antisymmetric degrees of the term.
-    """
-    n = a.n
-    out = WeylElement(a.n, {}, a.truncation)
-    for (p, sym, asym), coeff in a.terms.items():
-        if hol:
-            k = sum(sym[:n])
-            l = bin(asym & ((1 << n) - 1)).count("1")
-            bits = range(n)
-        else:
-            k = sum(sym[n:])
-            l = bin(asym >> n).count("1")
-            bits = range(n, 2 * n)
-        total = k + l
-        if total == 0:
-            continue
-        inv = GaussianRational(Fraction(1, total))
-        for j in bits:
-            if not (asym >> j) & 1:
-                continue
-            nm = list(sym)
-            nm[j] += 1
-            sign = _remove_sign(j, asym)
-            out._add(p, tuple(nm), asym & ~(1 << j), coeff.scale(inv if sign > 0 else -inv))
-    return out
+    return _delta(a, a.n, 2 * a.n)
 
 
 def delta_z_inv(a):
-    return _delta_split_inv(a, True)
+    """Inverse of the holomorphic half of delta, counting holomorphic degrees only."""
+    return _delta_inv(a, 0, a.n)
 
 
 def delta_zbar_inv(a):
-    return _delta_split_inv(a, False)
-
-
-def split_ops(a, which, chart=None, conn=None):
-    """Dispatcher for the holomorphic/antiholomorphic operator splittings."""
-    if which == "delta_z":
-        return delta_z(a)
-    if which == "delta_zbar":
-        return delta_zbar(a)
-    if which == "delta_z_inv":
-        return delta_z_inv(a)
-    if which == "delta_zbar_inv":
-        return delta_zbar_inv(a)
-    if which == "nabla_z":
-        return nabla_z(a, chart, conn)
-    if which == "nabla_zbar":
-        return nabla_zbar(a, chart, conn)
-    raise ValueError(f"unknown split operator {which!r}")
+    """Inverse of the antiholomorphic half of delta, counting antiholomorphic degrees only."""
+    return _delta_inv(a, a.n, 2 * a.n)
 
 
 # -- fibrewise equivalence, parity, conjugation --------------------------------------
@@ -1076,16 +958,12 @@ def conj_C(x):
         new_sym = sym[n:] + sym[:n]
         # map each asym bit i -> i+n mod 2n and count the inversions of the
         # mapped word to normalize the ordering
-        mapped = sorted(((b + n) % (2 * n) for b in _iter_bits(asym)))
         word = [(b + n) % (2 * n) for b in _iter_bits(asym)]
         inversions = 0
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                if word[i] > word[j]:
-                    inversions += 1
         mask = 0
-        for b in mapped:
+        for i, b in enumerate(word):
             mask |= 1 << b
+            inversions += sum(1 for c in word[i + 1:] if b > c)
         c = coeff.conjugate()
         if (inversions + p) & 1:
             c = -c

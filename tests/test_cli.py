@@ -2,7 +2,11 @@
 
 import json
 
-from wickstar.cli import MAX_ORDER, main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wickstar.cli import MAX_ORDER, MAX_TRUNCATION, main
+from wickstar.expr import ExprError, parse
 
 
 def run(capsys, *argv):
@@ -190,3 +194,111 @@ def test_verify_fedosov_antiwick(capsys):
     assert code == 0
     assert "fixed point from two seeds reproduces the recursion" in out
     assert "result: all checks passed" in out
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (["star", "--chart", "c1_flat", "--order", "abc", "--f", "z1", "--g", "zb1"],
+                 ["star", "--chart", "c1_flat", "--f", "z1"],
+                 [],
+                 ["bogus"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["star", "--help"])
+    assert info.value.code == 0
+    assert "--truncation" in capsys.readouterr().out
+
+
+def test_truncation_above_cap_rejected(capsys):
+    code, out, err = run(capsys, "star", "--chart", "c1_flat", "--order", "1",
+                         "--truncation", "100000", "--f", "z1", "--g", "zb1")
+    assert code == 1
+    assert out == ""
+    assert f"exceeds the cap of {MAX_TRUNCATION}" in err
+    code, _, _ = run(capsys, "star", "--chart", "c1_flat", "--order", "1",
+                     "--truncation", str(MAX_TRUNCATION), "--f", "z1", "--g", "zb1")
+    assert code == 0
+
+
+def test_karabegov_at_order_0(capsys):
+    """The relations' nu^1 terms lie beyond order 0 and are left out."""
+    code, out, _ = run(capsys, "geometry", "--chart", "c1_flat", "--show", "karabegov",
+                       "--order", "0")
+    assert code == 0
+    assert out.startswith("K(star) = nu^0")
+    code, out, _ = run(capsys, "verify", "--chart", "disk", "--product", "antiwick",
+                       "--suite", "karabegov", "--order", "0")
+    assert code == 0
+
+
+# -- fuzzing: every command line ends with exit 0 or 1, never 2 or a traceback --
+
+TOKENS = ("z1", "zb1", "z2", "zb2", "z3", "i", "0", "1", "2", "3/4", "x", "", "zb")
+
+
+def expressions():
+    def extend(children):
+        return st.one_of(
+            st.builds("{}{}{}".format, children, st.sampled_from("+-*/"), children),
+            st.builds("({})".format, children),
+            st.builds("-{}".format, children),
+            st.builds("{}^{}".format, children,
+                      st.sampled_from(("0", "1", "2", "3", "-1", "-2", "65", "x", ""))),
+        )
+
+    return st.one_of(
+        st.recursive(st.sampled_from(TOKENS), extend, max_leaves=6),
+        st.text(alphabet="z1b2i+-*/^() 0", max_size=10),
+    )
+
+
+def flag(name, values):
+    """The flag with one of the values, or nothing."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+def options():
+    return st.tuples(
+        flag("--chart", ("c1_flat", "c2_flat", "disk", "nonexistent", "")),
+        flag("--product", ("weyl", "wick", "antiwick", "bogus")),
+        flag("--order", ("0", "1", "-1", "abc", str(MAX_ORDER + 1))),
+        flag("--truncation", ("2", "4", "5", str(MAX_TRUNCATION + 1), "x")),
+        flag("--seed", ("0", "7", "-3", "s")),
+        flag("--format", ("text", "json", "xml")),
+    ).map(lambda groups: [token for group in groups for token in group])
+
+
+def command_lines():
+    star = st.tuples(st.just(["star"]), options(),
+                     st.lists(st.sampled_from(("--f", "--g")), max_size=2, unique=True),
+                     expressions(), expressions()).map(
+        lambda t: t[0] + t[1] + [tok for name, text in zip(t[2], t[3:]) for tok in (name, text)])
+    verify = st.tuples(st.just(["verify"]), options(),
+                       st.sampled_from(("algebra", "wick", "parity", "all", "bogus"))).map(
+        lambda t: t[0] + t[1] + ["--suite", t[2]])
+    geometry = st.tuples(st.just(["geometry"]), options(),
+                         st.sampled_from(("christoffel", "ricci", "karabegov", "bogus"))).map(
+        lambda t: t[0] + t[1] + ["--show", t[2]])
+    other = st.lists(st.sampled_from(("describe", "bogus", "--chart", "c1_flat", "--order", "1")),
+                     max_size=4)
+    return st.one_of(star, verify, geometry, other)
+
+
+@settings(max_examples=50, deadline=20000)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_0_or_1(argv):
+    assert main(argv) in (0, 1)
+
+
+@settings(max_examples=50, deadline=5000)
+@given(expressions(), st.integers(1, 2))
+def test_fuzzed_expressions_parse_or_raise_expr_error(text, n):
+    try:
+        parse(text, n)
+    except ExprError:
+        pass

@@ -9,6 +9,7 @@ from wickstar.expr import (
     ExprDivisionError,
     GaussianRational,
     MAX_EXPONENT,
+    MAX_POWER_DEGREE,
     ParseError,
     parse,
     reduce,
@@ -206,6 +207,14 @@ def test_exponent_cap():
     assert parse(f"z1^{MAX_EXPONENT}", 1) == parse("z1", 1) ** MAX_EXPONENT
     for text in (f"z1^{MAX_EXPONENT + 1}", f"z1^-{MAX_EXPONENT + 1}", "z1^3000000"):
         with pytest.raises(ParseError):
+            parse(text, 1)
+
+
+def test_power_degree_cap():
+    """Nested powers multiply their exponents; the result's degree is capped."""
+    assert parse(f"(z1*zb1)^{MAX_POWER_DEGREE // 2}", 1) == parse("z1*zb1", 1) ** (MAX_POWER_DEGREE // 2)
+    for text in ("((z1+zb1)^64)^64", "(z1*zb1)^33", "(1/(1 - z1*zb1))^33"):
+        with pytest.raises(ParseError, match="exceeds the cap"):
             parse(text, 1)
 
 

@@ -28,7 +28,6 @@ from wickstar.weyl import (
     parity_P,
     project,
     sigma,
-    split_ops,
     to_nu_series,
 )
 
@@ -270,6 +269,17 @@ def test_projection_product_compatibility(disk):
                 project(a, "pi_azbar"), project(b, "pi_azbar"), "wick", disk)
 
 
+@pytest.mark.parametrize("product", [
+    lambda a, b, kind, chart: circ(a, b, kind, chart),
+    lambda a, b, kind, chart: weyl.circ_over_nu(a, b, kind, chart, None),
+    lambda a, b, kind, chart: ad(a, b, kind, chart),
+    lambda a, b, kind, chart: ad_over_nu(a, b, kind, chart, None),
+], ids=["circ", "circ_over_nu", "ad", "ad_over_nu"])
+def test_pair_products_reject_unknown_kind(product, c1_flat):
+    with pytest.raises(ValueError, match="unknown product kind"):
+        product(dz(), dzb(), "bogus", c1_flat)
+
+
 # -- holomorphic splittings -------------------------------------------------------
 
 
@@ -312,14 +322,6 @@ def test_split_operator_identities(disk):
         assert (delta_z(nzb(a)) + nzb(delta_z(a))).is_zero()
         assert (delta_zbar(nz(a)) + nz(delta_zbar(a))).is_zero()
         assert (delta_zbar(nzb(a)) + nzb(delta_zbar(a))).is_zero()
-
-
-def test_split_ops_dispatcher(disk):
-    a = elements(disk, 1, 181)[0]
-    assert split_ops(a, "delta_z") == delta_z(a)
-    assert split_ops(a, "nabla_zbar", disk, disk.connection) == nabla_zbar(a, disk, disk.connection)
-    with pytest.raises(ValueError):
-        split_ops(a, "nonsense")
 
 
 # -- equivalence, parity, conjugation ----------------------------------------------
