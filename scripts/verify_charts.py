@@ -4,7 +4,7 @@
 Prints one line per (chart, suite) with the outcome; exits nonzero if any
 check fails.  Charts whose two-form series is deliberately not of type
 (1,1) are expected to fail the wick suite, which this driver reports but
-does not treat as an error when --expect-controls is set.
+does not treat as an error.
 """
 
 import argparse
@@ -22,7 +22,6 @@ def main():
     parser.add_argument("--order", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--charts", nargs="*", default=list(CHARTS) + ["c2_flat_omega20"])
-    parser.add_argument("--expect-controls", action="store_true", default=True)
     args = parser.parse_args()
     failures = 0
     for name in args.charts:
@@ -35,7 +34,7 @@ def main():
         for suite in suites:
             started = time.perf_counter()
             report = _SUITE_FUNCS[suite](chart, config)
-            expected_fail = (name, suite) in CONTROLS and args.expect_controls
+            expected_fail = (name, suite) in CONTROLS
             status = "PASS" if report.passed else ("EXPECTED-FAIL" if expected_fail else "FAIL")
             if not report.passed and not expected_fail:
                 failures += 1

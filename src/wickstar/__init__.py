@@ -5,9 +5,9 @@ structural properties at finite order in the formal parameter."""
 from .chart import (
     Chart,
     ChartError,
+    Form,
     FormSeries,
     OneForm,
-    OneFormSeries,
     TwoForm,
     christoffel,
     curvature,

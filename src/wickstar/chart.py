@@ -20,6 +20,7 @@ from .expr import (
     ExprError,
     GaussianRational,
     parse,
+    var_name,
 )
 
 GR_HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -33,306 +34,145 @@ class ChartError(Exception):
 # -- differential forms --------------------------------------------------------
 
 
-class OneForm:
-    """b_k dz^k + c_l dzb^l with ChartExpr coefficients."""
-
-    __slots__ = ("n", "hol", "ahol")
-
-    def __init__(self, n, hol=None, ahol=None):
-        self.n = n
-        self.hol = {k: v for k, v in (hol or {}).items() if not v.is_zero()}
-        self.ahol = {k: v for k, v in (ahol or {}).items() if not v.is_zero()}
-
-    def is_zero(self):
-        return not self.hol and not self.ahol
-
-    def __add__(self, other):
-        hol = dict(self.hol)
-        for k, v in other.hol.items():
-            hol[k] = hol.get(k, ChartExpr.zero(self.n)) + v
-        ahol = dict(self.ahol)
-        for k, v in other.ahol.items():
-            ahol[k] = ahol.get(k, ChartExpr.zero(self.n)) + v
-        return OneForm(self.n, hol, ahol)
-
-    def __neg__(self):
-        return OneForm(self.n, {k: -v for k, v in self.hol.items()}, {k: -v for k, v in self.ahol.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        if isinstance(factor, (int, Fraction, GaussianRational)):
-            factor = GaussianRational.coerce(factor)
-            return OneForm(
-                self.n,
-                {k: v.scale(factor) for k, v in self.hol.items()},
-                {k: v.scale(factor) for k, v in self.ahol.items()},
-            )
-        return OneForm(
-            self.n,
-            {k: v * factor for k, v in self.hol.items()},
-            {k: v * factor for k, v in self.ahol.items()},
-        )
-
-    def __eq__(self, other):
-        return (self - other).is_zero() if isinstance(other, OneForm) else NotImplemented
-
-    def d(self):
-        """Exterior derivative."""
-        n = self.n
-        out = TwoForm(n)
-        zero = ChartExpr.zero(n)
-        for k, b in self.hol.items():
-            for i in range(n):
-                if i != k:
-                    lo, hi, sgn = (i, k, 1) if i < k else (k, i, -1)
-                    cur = out.hh.get((lo, hi), zero)
-                    out.hh[(lo, hi)] = cur + (b.differentiate(i).scale(sgn))
-                # dzb^j ^ dz^k = -dz^k ^ dzb^j
-                db = b.differentiate(n + i)
-                if not db.is_zero():
-                    cur = out.hm.get((k, i), zero)
-                    out.hm[(k, i)] = cur - db
-        for l, c in self.ahol.items():
-            for i in range(n):
-                dc = c.differentiate(i)
-                if not dc.is_zero():
-                    cur = out.hm.get((i, l), zero)
-                    out.hm[(i, l)] = cur + dc
-                if i != l:
-                    lo, hi, sgn = (i, l, 1) if i < l else (l, i, -1)
-                    cur = out.aa.get((lo, hi), zero)
-                    out.aa[(lo, hi)] = cur + (c.differentiate(n + i).scale(sgn))
-        out._drop_zeros()
-        return out
-
-    def to_weyl(self, n_power=0, truncation=None):
-        """The central element (one-form) x 1: symmetric degree 1, no wedge part."""
-        items = []
-        for k, v in self.hol.items():
-            sym = [0] * (2 * self.n)
-            sym[k] = 1
-            items.append((n_power, tuple(sym), 0, v))
-        for l, v in self.ahol.items():
-            sym = [0] * (2 * self.n)
-            sym[self.n + l] = 1
-            items.append((n_power, tuple(sym), 0, v))
-        return weyl.WeylElement.from_terms(self.n, items, truncation)
-
-    def to_weyl_form(self, n_power=0, truncation=None):
-        """The element 1 x (one-form): antisymmetric degree 1."""
-        items = []
-        for k, v in self.hol.items():
-            items.append((n_power, (0,) * (2 * self.n), 1 << k, v))
-        for l, v in self.ahol.items():
-            items.append((n_power, (0,) * (2 * self.n), 1 << (self.n + l), v))
-        return weyl.WeylElement.from_terms(self.n, items, truncation)
+def _signed(c, sign):
+    return c if sign > 0 else -c
 
 
-class TwoForm:
-    """Two-form split by type: hh (2,0), hm (1,1), aa (0,2).
+def _hol_degree(mask, n):
+    """The number of dz symbols in the word `mask`."""
+    return bin(mask & ((1 << n) - 1)).count("1")
 
-    hh[(k,l)] with k<l is the coefficient of dz^k ^ dz^l, hm[(k,l)] the
-    coefficient of dz^k ^ dzb^l, aa[(k,l)] with k<l that of dzb^k ^ dzb^l.
+
+class Form:
+    """sum_M c_M dx^M over the 2n one-form symbols, for forms of every degree.
+
+    A key M is the bit mask of an ascending word in dz1..dzn, dzb1..dzbn
+    (bit j < n is dz^{j+1}, bit n + l is dzb^{l+1}), the convention of the
+    antisymmetric part of a WeylElement.  Zero coefficients are dropped.
     """
 
-    __slots__ = ("n", "hh", "hm", "aa")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, hh=None, hm=None, aa=None):
+    def __init__(self, n, terms=None):
         self.n = n
-        self.hh = dict(hh or {})
-        self.hm = dict(hm or {})
-        self.aa = dict(aa or {})
-        self._drop_zeros()
+        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
-    def _drop_zeros(self):
-        self.hh = {k: v for k, v in self.hh.items() if not v.is_zero()}
-        self.hm = {k: v for k, v in self.hm.items() if not v.is_zero()}
-        self.aa = {k: v for k, v in self.aa.items() if not v.is_zero()}
+    @staticmethod
+    def _summed(n, items):
+        """The form sum c dx^M over (mask, c) pairs; repeated masks add up."""
+        terms = {}
+        for mask, c in items:
+            if not c.is_zero():
+                terms[mask] = terms[mask] + c if mask in terms else c
+        return Form(n, terms)
+
+    def __getitem__(self, mask):
+        return self.terms.get(mask, ChartExpr.zero(self.n))
 
     def is_zero(self):
-        return not self.hh and not self.hm and not self.aa
-
-    def is_type_11(self):
-        return not self.hh and not self.aa
+        return not self.terms
 
     def __add__(self, other):
-        def merge(d1, d2):
-            out = dict(d1)
-            for k, v in d2.items():
-                out[k] = out.get(k, ChartExpr.zero(self.n)) + v
-            return out
-
-        return TwoForm(self.n, merge(self.hh, other.hh), merge(self.hm, other.hm), merge(self.aa, other.aa))
+        return Form._summed(self.n, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return TwoForm(
-            self.n,
-            {k: -v for k, v in self.hh.items()},
-            {k: -v for k, v in self.hm.items()},
-            {k: -v for k, v in self.aa.items()},
-        )
+        return Form(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor):
-        if isinstance(factor, (int, Fraction, GaussianRational)):
-            factor = GaussianRational.coerce(factor)
-            return TwoForm(
-                self.n,
-                {k: v.scale(factor) for k, v in self.hh.items()},
-                {k: v.scale(factor) for k, v in self.hm.items()},
-                {k: v.scale(factor) for k, v in self.aa.items()},
-            )
-        return TwoForm(
-            self.n,
-            {k: v * factor for k, v in self.hh.items()},
-            {k: v * factor for k, v in self.hm.items()},
-            {k: v * factor for k, v in self.aa.items()},
-        )
+        return Form(self.n, {m: c.scale(factor) for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        return (self - other).is_zero() if isinstance(other, TwoForm) else NotImplemented
+        return (self - other).is_zero() if isinstance(other, Form) else NotImplemented
 
-    def conjugate(self):
-        """Complex conjugation of the form (coefficients and index types)."""
-        n = self.n
-        hh = {}
-        aa = {}
-        hm = {}
-        for (k, l), v in self.hh.items():
-            aa[(k, l)] = v.conjugate()
-        for (k, l), v in self.aa.items():
-            hh[(k, l)] = v.conjugate()
-        for (k, l), v in self.hm.items():
-            # conj(w dz^k ^ dzb^l) = conj(w) dzb^k ^ dz^l = -conj(w) dz^l ^ dzb^k
-            cur = hm.get((l, k), ChartExpr.zero(n))
-            hm[(l, k)] = cur - v.conjugate()
-        return TwoForm(n, hh, hm, aa)
-
-    def insert_hol(self, k):
-        """Contraction i_{Z_k} of the two-form; a one-form."""
-        n = self.n
-        hol = {}
-        ahol = {}
-        zero = ChartExpr.zero(n)
-        for (a, b), v in self.hh.items():
-            if a == k:
-                hol[b] = hol.get(b, zero) + v
-            if b == k:
-                hol[a] = hol.get(a, zero) - v
-        for (a, b), v in self.hm.items():
-            if a == k:
-                ahol[b] = ahol.get(b, zero) + v
-        return OneForm(n, hol, ahol)
-
-    def insert_ahol(self, l):
-        """Contraction i_{Zb_l} of the two-form; a one-form."""
-        n = self.n
-        hol = {}
-        ahol = {}
-        zero = ChartExpr.zero(n)
-        for (a, b), v in self.hm.items():
-            if b == l:
-                hol[a] = hol.get(a, zero) - v
-        for (a, b), v in self.aa.items():
-            if a == l:
-                ahol[b] = ahol.get(b, zero) + v
-            if b == l:
-                ahol[a] = ahol.get(a, zero) - v
-        return OneForm(n, hol, ahol)
-
-    def exterior_derivative_components(self):
-        """Coefficients of the exterior derivative, keyed by form type.
-
-        Returns a dict with keys '30', '21', '12', '03'; closedness means
-        every stored coefficient vanishes (they are dropped when zero, so a
-        closed form yields empty dicts throughout).
-        """
-        n = self.n
-        zero = ChartExpr.zero(n)
-        out = {"30": {}, "21": {}, "12": {}, "03": {}}
-
-        def bump(kind, key, value):
-            if value.is_zero():
-                return
-            cur = out[kind].get(key, zero)
-            s = cur + value
-            if s.is_zero():
-                out[kind].pop(key, None)
-            else:
-                out[kind][key] = s
-
-        for (j, k), v in self.hh.items():
-            for i in range(n):
-                if i != j and i != k:
-                    trio = tuple(sorted((i, j, k)))
-                    perm = [i, j, k]
-                    sign = _perm_sign(perm)
-                    bump("30", trio, v.differentiate(i).scale(sign))
-                bump("21", (j, k, i), v.differentiate(n + i))
-        for (k, l), v in self.hm.items():
-            for i in range(n):
-                if i != k:
-                    lo, hi, sgn = (i, k, 1) if i < k else (k, i, -1)
-                    bump("21", (lo, hi, l), v.differentiate(i).scale(sgn))
-                if i != l:
-                    lo, hi, sgn = (l, i, 1) if l < i else (i, l, -1)
-                    bump("12", (k, lo, hi), v.differentiate(n + i).scale(sgn))
-        for (k, l), v in self.aa.items():
-            for i in range(n):
-                bump("12", (i, k, l), v.differentiate(i))
-                if i != k and i != l:
-                    trio = tuple(sorted((i, k, l)))
-                    sign = _perm_sign([i, k, l])
-                    bump("03", trio, v.differentiate(n + i).scale(sign))
-        return out
+    def d(self):
+        """Exterior derivative: sum_j d_j c_M dx^j ^ dx^M."""
+        return Form._summed(self.n, [
+            (m | (1 << j), _signed(c.differentiate(j), weyl._pass_sign(j, m)))
+            for m, c in self.terms.items()
+            for j in range(2 * self.n)
+            if not (m >> j) & 1
+        ])
 
     def is_closed(self):
-        comps = self.exterior_derivative_components()
-        return all(not d for d in comps.values())
+        return self.d().is_zero()
+
+    def interior(self, j):
+        """Contraction with the coordinate field of symbol j (Z_j, or Zb_{j-n})."""
+        return Form._summed(self.n, [
+            (m ^ (1 << j), _signed(c, weyl._pass_sign(j, m)))
+            for m, c in self.terms.items()
+            if (m >> j) & 1
+        ])
+
+    def conjugate(self):
+        """Complex conjugation of the coefficients and of dz <-> dzb."""
+        out = {}
+        for m, c in self.terms.items():
+            mask, sign = weyl._conj_mask(m, self.n)
+            out[mask] = _signed(c.conjugate(), sign)
+        return Form(self.n, out)
+
+    def is_type_11(self):
+        return all(_hol_degree(m, self.n) == 1 and bin(m).count("1") == 2 for m in self.terms)
 
     def to_weyl(self, nu_power=0, truncation=None):
-        """The central element 1 x (two-form) at the given nu power."""
-        n = self.n
+        """The central element 1 x (form) at the given nu power."""
+        zero_sym = (0,) * (2 * self.n)
+        return weyl.WeylElement.from_terms(
+            self.n, [(nu_power, zero_sym, m, c) for m, c in self.terms.items()], truncation
+        )
+
+    def to_weyl_sym(self, nu_power=0, truncation=None):
+        """The element (one-form) x 1: symmetric degree 1, no wedge part."""
         items = []
-        for (k, l), v in self.hh.items():
-            items.append((nu_power, (0,) * (2 * n), (1 << k) | (1 << l), v))
-        for (k, l), v in self.hm.items():
-            items.append((nu_power, (0,) * (2 * n), (1 << k) | (1 << (n + l)), v))
-        for (k, l), v in self.aa.items():
-            items.append((nu_power, (0,) * (2 * n), (1 << (n + k)) | (1 << (n + l)), v))
-        return weyl.WeylElement.from_terms(n, items, truncation)
+        for m, c in self.terms.items():
+            if m & (m - 1):
+                raise ValueError("the symmetric embedding takes one-forms only")
+            sym = [0] * (2 * self.n)
+            sym[m.bit_length() - 1] = 1
+            items.append((nu_power, tuple(sym), 0, c))
+        return weyl.WeylElement.from_terms(self.n, items, truncation)
 
     def render(self):
         if self.is_zero():
             return "0"
-        pieces = []
-        for (k, l) in sorted(self.hh):
-            pieces.append(f"({self.hh[(k, l)].pretty()}) dz{k+1}^dz{l+1}")
-        for (k, l) in sorted(self.hm):
-            pieces.append(f"({self.hm[(k, l)].pretty()}) dz{k+1}^dzb{l+1}")
-        for (k, l) in sorted(self.aa):
-            pieces.append(f"({self.aa[(k, l)].pretty()}) dzb{k+1}^dzb{l+1}")
-        return " + ".join(pieces)
+        n = self.n
+
+        def word(m):
+            return "^".join(f"d{var_name(j, n)}" for j in weyl._iter_bits(m))
+
+        # more dz symbols first, so (2,0) before (1,1) before (0,2); then by word
+        keys = sorted(self.terms, key=lambda m: (-_hol_degree(m, n), tuple(weyl._iter_bits(m))))
+        return " + ".join(f"({self.terms[m].pretty()}) {word(m)}" for m in keys)
 
     def __repr__(self):
-        return f"<TwoForm {self.render()}>"
+        return f"<Form {self.render()}>"
 
 
-def _perm_sign(values):
-    sign = 1
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
-                sign = -sign
-    return sign
+def OneForm(n, hol=None, ahol=None):
+    """b_k dz^k + c_l dzb^l from the typed parts {k: b_k} and {l: c_l}."""
+    return Form(n, {
+        **{1 << k: b for k, b in (hol or {}).items()},
+        **{1 << (n + l): c for l, c in (ahol or {}).items()},
+    })
+
+
+def TwoForm(n, hh=None, hm=None, aa=None):
+    """A two-form from its typed parts: hh[(k, l)] with k < l the coefficient
+    of dz^k ^ dz^l, hm[(k, l)] that of dz^k ^ dzb^l, aa[(k, l)] with k < l
+    that of dzb^k ^ dzb^l."""
+    return Form(n, {
+        **{(1 << k) | (1 << l): c for (k, l), c in (hh or {}).items()},
+        **{(1 << k) | (1 << (n + l)): c for (k, l), c in (hm or {}).items()},
+        **{(1 << (n + k)) | (1 << (n + l)): c for (k, l), c in (aa or {}).items()},
+    })
 
 
 class FormSeries:
-    """Formal series sum_i nu^i * (two-form)_i; normalized and sparse."""
+    """Formal series sum_i nu^i * (form)_i; normalized and sparse."""
 
     __slots__ = ("n", "forms")
 
@@ -340,12 +180,7 @@ class FormSeries:
         self.n = n
         merged = {}
         for power, form in forms:
-            if form.is_zero():
-                continue
-            if power in merged:
-                merged[power] = merged[power] + form
-            else:
-                merged[power] = form
+            merged[power] = merged[power] + form if power in merged else form
         self.forms = {p: f for p, f in sorted(merged.items()) if not f.is_zero()}
 
     @staticmethod
@@ -361,11 +196,14 @@ class FormSeries:
     def min_power(self):
         return min(self.forms, default=None)
 
+    def _map(self, fn):
+        return FormSeries(self.n, [(p, fn(p, f)) for p, f in self.forms.items()])
+
     def __add__(self, other):
-        return FormSeries(self.n, list(self.forms.items()) + list(other.forms.items()))
+        return FormSeries(self.n, self.items() + other.items())
 
     def __neg__(self):
-        return FormSeries(self.n, [(p, -f) for p, f in self.forms.items()])
+        return self._map(lambda p, f: -f)
 
     def __sub__(self, other):
         return self + (-other)
@@ -374,36 +212,37 @@ class FormSeries:
         return (self - other).is_zero() if isinstance(other, FormSeries) else NotImplemented
 
     def scale(self, factor):
-        return FormSeries(self.n, [(p, f.scale(factor)) for p, f in self.forms.items()])
+        return self._map(lambda p, f: f.scale(factor))
 
     def parity(self):
         """nu -> -nu on the series."""
-        return FormSeries(
-            self.n,
-            [(p, f.scale(-1) if p & 1 else f) for p, f in self.forms.items()],
-        )
+        return self._map(lambda p, f: -f if p & 1 else f)
 
     def conjugate(self):
         """Conjugation with nu -> -nu (the formal parameter is imaginary)."""
-        return FormSeries(
-            self.n,
-            [
-                (p, f.conjugate().scale(-1) if p & 1 else f.conjugate())
-                for p, f in self.forms.items()
-            ],
-        )
+        return self._map(lambda p, f: f.conjugate()).parity()
+
+    def d(self):
+        return self._map(lambda p, f: f.d())
 
     def is_closed(self):
-        return all(f.is_closed() for f in self.forms.values())
+        return self.d().is_zero()
 
     def is_type_11(self):
         return all(f.is_type_11() for f in self.forms.values())
 
     def to_weyl(self, truncation=None):
-        n = self.n
-        el = weyl.WeylElement.zero(n, truncation)
+        """The series 1 x (form) as a Weyl element."""
+        el = weyl.WeylElement.zero(self.n, truncation)
         for p, f in self.forms.items():
-            el = el + f.to_weyl(nu_power=p, truncation=truncation)
+            el = el + f.to_weyl(p, truncation)
+        return el
+
+    def to_weyl_sym(self, truncation=None):
+        """The series (one-form) x 1 as a Weyl element (symmetric degree 1)."""
+        el = weyl.WeylElement.zero(self.n, truncation)
+        for p, f in self.forms.items():
+            el = el + f.to_weyl_sym(p, truncation)
         return el
 
     def render(self):
@@ -413,48 +252,6 @@ class FormSeries:
 
     def __repr__(self):
         return f"<FormSeries {self.render()}>"
-
-
-class OneFormSeries:
-    """Formal series sum_i nu^i * (one-form)_i with i >= 1."""
-
-    __slots__ = ("n", "forms")
-
-    def __init__(self, n, forms=()):
-        self.n = n
-        merged = {}
-        for power, form in forms:
-            if form.is_zero():
-                continue
-            merged[power] = merged.get(power, OneForm(n)) + form
-        self.forms = {p: f for p, f in sorted(merged.items()) if not f.is_zero()}
-
-    @staticmethod
-    def zero(n):
-        return OneFormSeries(n)
-
-    def is_zero(self):
-        return not self.forms
-
-    def items(self):
-        return list(self.forms.items())
-
-    def d(self):
-        return FormSeries(self.n, [(p, f.d()) for p, f in self.forms.items()])
-
-    def to_weyl(self, truncation=None):
-        """The series (one-form) x 1 as a Weyl element (sym degree 1)."""
-        el = weyl.WeylElement.zero(self.n, truncation)
-        for p, f in self.forms.items():
-            el = el + f.to_weyl(n_power=p, truncation=truncation)
-        return el
-
-    def to_weyl_form(self, truncation=None):
-        """The series 1 x (one-form) as a Weyl element (asym degree 1)."""
-        el = weyl.WeylElement.zero(self.n, truncation)
-        for p, f in self.forms.items():
-            el = el + f.to_weyl_form(n_power=p, truncation=truncation)
-        return el
 
 
 # -- connection and curvature ----------------------------------------------------
@@ -741,8 +538,26 @@ class Chart:
 
 # -- chart documents ----------------------------------------------------------------
 
+_SHAPES = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _expect(value, shape, what):
+    """`value` if it has the JSON shape `shape`; a ChartError otherwise."""
+    if not isinstance(value, shape):
+        raise ChartError(f"{what} must be {_SHAPES[shape]}")
+    return value
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_text(text, n, base, what):
+    return parse(_expect(text, str, what), n, base)
+
 
 def _parse_form_component_key(key, n):
+    """The two symbol indices of a component key such as `dz1^dzb2`."""
     parts = key.split("^")
     if len(parts) != 2:
         raise ChartError(f"malformed form component {key!r}")
@@ -750,16 +565,14 @@ def _parse_form_component_key(key, n):
     def classify(token):
         token = token.strip()
         if token.startswith("dzb"):
-            idx = token[3:]
-            bar = True
+            idx, offset = token[3:], n
         elif token.startswith("dz"):
-            idx = token[2:]
-            bar = False
+            idx, offset = token[2:], 0
         else:
             raise ChartError(f"malformed form symbol {token!r}")
         if not idx.isdigit() or not 1 <= int(idx) <= n:
             raise ChartError(f"form symbol {token!r} out of range")
-        return bar, int(idx) - 1
+        return offset + int(idx) - 1
 
     return classify(parts[0]), classify(parts[1])
 
@@ -782,29 +595,19 @@ def _parse_two_form(doc, n, base, omega=None):
         return omega.scale(scalar)
     if not isinstance(doc, dict):
         raise ChartError("form spec must be a string or an object")
-    hh, hm, aa = {}, {}, {}
+    items = []
     for key, text in doc.items():
-        (bar1, i1), (bar2, i2) = _parse_form_component_key(key, n)
-        coeff = parse(text, n, base)
+        j1, j2 = _parse_form_component_key(key, n)
+        coeff = _parse_text(text, n, base, f"form component {key!r}")
         if coeff.is_zero():
             continue
-        if not bar1 and not bar2:
-            if i1 == i2:
-                raise ChartError(f"repeated symbol in {key!r}")
-            if i1 > i2:
-                i1, i2, coeff = i2, i1, -coeff
-            hh[(i1, i2)] = hh.get((i1, i2), ChartExpr.zero(n)) + coeff
-        elif not bar1 and bar2:
-            hm[(i1, i2)] = hm.get((i1, i2), ChartExpr.zero(n)) + coeff
-        elif bar1 and bar2:
-            if i1 == i2:
-                raise ChartError(f"repeated symbol in {key!r}")
-            if i1 > i2:
-                i1, i2, coeff = i2, i1, -coeff
-            aa[(i1, i2)] = aa.get((i1, i2), ChartExpr.zero(n)) + coeff
-        else:
+        if j1 == j2:
+            raise ChartError(f"repeated symbol in {key!r}")
+        if j1 >= n > j2:
             raise ChartError(f"component {key!r} must be ordered dz before dzb")
-    return TwoForm(n, hh, hm, aa)
+        mask, sign = weyl._wedge(1 << j1, 1 << j2)
+        items.append((mask, _signed(coeff, sign)))
+    return Form._summed(n, items)
 
 
 def load_chart(source):
@@ -820,17 +623,17 @@ def load_chart(source):
                 with open(source) as fh:
                     text = fh.read()
                 name = str(source)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ChartError(f"cannot read chart file: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ChartError(f"chart document is not valid JSON: {exc}") from exc
-        name = doc.get("name", name)
+        name = _expect(doc, dict, "a chart document").get("name", name)
+    name = _expect(name, str, "`name`")
 
-    try:
-        n = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
+    n = doc.get("dimension")
+    if not _is_integer(n):
         raise ChartError("chart document needs an integer `dimension`")
     if n < 1:
         raise ChartError("dimension must be positive")
@@ -840,8 +643,8 @@ def load_chart(source):
             raise ChartError(f"chart document is missing `{field}`")
 
     base = []
-    for text in doc.get("factor_base", []):
-        poly_expr = parse(text, n)
+    for text in _expect(doc.get("factor_base", []), list, "`factor_base`"):
+        poly_expr = _parse_text(text, n, (), "factor base entries")
         if not poly_expr.is_polynomial():
             raise ChartError(f"factor base entry {text!r} is not a polynomial")
         poly = poly_expr.num
@@ -851,19 +654,20 @@ def load_chart(source):
     base = tuple(base)
 
     def load_matrix(field):
-        rows = doc[field]
+        rows = _expect(doc[field], list, f"`{field}`")
+        what = f"`{field}` entries"
         if rows and isinstance(rows[0], str):
             if len(rows) != n * n:
                 raise ChartError(f"`{field}` must hold n*n entries (row-major)")
-            flat = [parse(t, n, base) for t in rows]
+            flat = [_parse_text(t, n, base, what) for t in rows]
             return [flat[i * n : (i + 1) * n] for i in range(n)]
         if len(rows) != n:
             raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
         out = []
         for row in rows:
-            if len(row) != n:
+            if len(_expect(row, list, f"`{field}` rows")) != n:
                 raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
-            out.append([parse(t, n, base) for t in row])
+            out.append([_parse_text(t, n, base, what) for t in row])
         return out
 
     try:
@@ -874,7 +678,10 @@ def load_chart(source):
 
     gradient = None
     if doc.get("potential_gradient") is not None:
-        gradient = tuple(parse(t, n, base) for t in doc["potential_gradient"])
+        gradient = tuple(
+            _parse_text(t, n, base, "`potential_gradient` entries")
+            for t in _expect(doc["potential_gradient"], list, "`potential_gradient`")
+        )
 
     chart = Chart(n, metric, inverse, base, gradient, None, name=name)
     chart.validate()
@@ -882,11 +689,12 @@ def load_chart(source):
     if doc.get("omega_series"):
         omega = omega_form(chart)
         entries = []
-        for entry in doc["omega_series"]:
-            try:
-                power = int(entry["nu_power"])
-            except (KeyError, TypeError, ValueError):
+        for entry in _expect(doc["omega_series"], list, "`omega_series`"):
+            power = _expect(entry, dict, "omega_series entries").get("nu_power")
+            if not _is_integer(power):
                 raise ChartError("omega_series entries need an integer `nu_power`")
+            if "form" not in entry:
+                raise ChartError("omega_series entries need a `form`")
             entries.append((power, _parse_two_form(entry["form"], n, base, omega)))
         chart.omega_series = FormSeries(n, entries)
         chart.validate()

@@ -25,7 +25,6 @@ from .chart import (
     ChartError,
     FormSeries,
     OneForm,
-    OneFormSeries,
     load_chart,
     poisson_bracket,
 )
@@ -119,12 +118,15 @@ def resolve_chart(path):
     import os
 
     if os.path.exists(path):
-        with open(path) as fh:
-            return load_chart(fh.read())
+        try:
+            with open(path) as fh:
+                return load_chart(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UserError(f"cannot read chart file: {exc}") from exc
     name = path[:-5] if path.endswith(".json") else path
     try:
         text = resources.files(__package__).joinpath(f"charts/{name}.json").read_text()
-    except (FileNotFoundError, OSError):
+    except (OSError, ValueError):
         raise UserError(f"chart {path!r} not found (no such file or bundled chart)")
     return load_chart(text)
 
@@ -356,7 +358,7 @@ def _suite_equivalence(chart, config):
     N = min(config.order, (K - 2) // 2)
     data = FedosovData(config.product, chart, K)
     zb = ChartExpr.variable(n, n)
-    B = OneFormSeries(n, [(1, OneForm(n, hol={0: zb}))])
+    B = FormSeries(n, [(1, OneForm(n, hol={0: zb}))])
     try:
         shifted = renormalize_s(data, B)
         rep.add("renormalization shifts r by the central one-form", True)
@@ -376,7 +378,7 @@ def _suite_equivalence(chart, config):
     s_mixed = WeylElement.from_terms(n, mixed_items, K)
     data_s = FedosovData(config.product, chart, K, s=s_mixed)
     try:
-        transform = equivalence_A_h(data, data_s, OneFormSeries.zero(n), N)
+        transform = equivalence_A_h(data, data_s, FormSeries.zero(n), N)
         rep.add("equivalence transformation built and intertwines", True)
         if has_wick_shape(data):
             fpool = [ChartExpr.variable(n, 0), ChartExpr.variable(n, n)]

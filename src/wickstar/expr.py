@@ -18,6 +18,7 @@ Fedosov recursion small on the bundled charts.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -770,6 +771,10 @@ MAX_EXPONENT = 64
 # the largest total degree (numerator plus denominator) of a power's result;
 # nested powers multiply their exponents, so the exponent cap alone is no bound
 MAX_POWER_DEGREE = 64
+# the most terms a numerator or denominator may reach in a parsed sum,
+# product, quotient or power; checked on a bound before the operation, as
+# the degree cap does not bound the terms and products chain without limit
+MAX_TERMS = 4096
 
 
 def _tokenize(text):
@@ -805,6 +810,15 @@ def _tokenize(text):
 
 def _degree(poly):
     return max((sum(exp) for exp in poly.terms), default=0)
+
+
+def _sizes(expr):
+    return len(expr.num.terms), len(expr.den.terms)
+
+
+def _cap_terms(bound, pos):
+    if bound > MAX_TERMS:
+        raise ParseError(f"result of up to {bound} terms exceeds the cap of {MAX_TERMS}", pos)
 
 
 def _integer(tok):
@@ -845,32 +859,30 @@ class _Parser:
 
     def sum(self):
         left = self.product()
-        while True:
-            tok = self.peek()
-            if tok[0] == "+":
-                self.advance()
-                left = left + self.product()
-            elif tok[0] == "-":
-                self.advance()
-                left = left - self.product()
-            else:
-                return left
+        while self.peek()[0] in ("+", "-"):
+            op, _, pos = self.advance()
+            right = self.product()
+            (an, ad), (bn, bd) = _sizes(left), _sizes(right)
+            same_den = left.den == right.den
+            _cap_terms(an + bn if same_den else max(an * bd + bn * ad, ad * bd), pos)
+            left = left + right if op == "+" else left - right
+        return left
 
     def product(self):
         left = self.power()
-        while True:
-            tok = self.peek()
-            if tok[0] == "*":
-                self.advance()
-                left = left * self.power()
-            elif tok[0] == "/":
-                pos = self.advance()[2]
-                right = self.power()
+        while self.peek()[0] in ("*", "/"):
+            op, _, pos = self.advance()
+            right = self.power()
+            (an, ad), (bn, bd) = _sizes(left), _sizes(right)
+            if op == "*":
+                _cap_terms(max(an * bn, ad * bd), pos)
+                left = left * right
+            else:
                 if right.is_zero():
                     raise ParseError("division by zero expression", pos)
+                _cap_terms(max(an * bd, ad * bn), pos)
                 left = left / right
-            else:
-                return left
+        return left
 
     def power(self):
         tok = self.peek()
@@ -902,6 +914,9 @@ class _Parser:
                 raise ParseError(
                     f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", exp_tok[2]
                 )
+            # a power of t terms has at most comb(t + k - 1, k) terms
+            k = abs(exponent)
+            _cap_terms(max(math.comb(t + k - 1, k) for t in _sizes(base) if t), exp_tok[2])
             return base ** exponent
         return base
 

@@ -612,10 +612,10 @@ def renormalize_s(data, B):
         return data
     if min(B.forms) < 1:
         raise FedosovError("one-form series must start at nu^1")
-    s_new = data.s + B.to_weyl(truncation=data.K)
+    s_new = data.s + B.to_weyl_sym(truncation=data.K)
     omega_new = data.omega - B.d()
     out = data.with_data(omega=omega_new, s=s_new, allow_sym_degree_one=True)
-    expected = data.r + B.to_weyl_form(truncation=data.K)
+    expected = data.r + B.to_weyl(truncation=data.K)
     if out.r != expected:
         raise ContractViolation("renormalized element does not shift by the central one-form")
     return out
@@ -693,7 +693,7 @@ def equivalence_A_h(data, data_prime, C, N, samples=None):
         raise FedosovError("dC must equal the difference of the two-form series")
     K = data.K
     chart, conn, kind = data.chart, data.conn, data.kind
-    c_el = C.to_weyl(truncation=K)
+    c_el = C.to_weyl_sym(truncation=K)
     rdiff = data_prime.r - data.r
 
     def step(h):
@@ -779,8 +779,8 @@ def _omega_scalar_ratio(chart, form):
     """The constant c with form = c * omega, or None."""
     omega = chart.omega
     probe = None
-    for key, val in form.hm.items():
-        ref = omega.hm.get(key)
+    for key, val in form.terms.items():
+        ref = omega.terms.get(key)
         if ref is None:
             return None
         ratio = val / ref
@@ -822,7 +822,6 @@ def karabegov_form(data, N, pool=None):
     else:
         raise FedosovError("the characterizing form applies to wick and antiwick kinds")
     bar = "b" if offset else ""
-    zero = ChartExpr.zero(n)
 
     # gradients of the two-form potentials, one series per coordinate
     u = [NuSeries.from_function(base[k], N) for k in range(n)]
@@ -835,8 +834,8 @@ def karabegov_form(data, N, pool=None):
                 u[k].coeffs[power] = u[k].coeffs[power] + base[k].scale(ratio)
             continue
         for k in range(n):
-            inserted = form.insert_ahol(k).hol if offset else form.insert_hol(k).ahol
-            w = {l: inserted.get(l, zero).scale(sign) for l in range(n)}
+            inserted = form.interior(offset + k)
+            w = {l: inserted[1 << (n - offset + l)].scale(sign) for l in range(n)}
             u[k].coeffs[power] = u[k].coeffs[power] + _solve_gradient(chart, w, n - offset)
 
     # the defining star-product relations

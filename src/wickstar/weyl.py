@@ -96,6 +96,17 @@ def _subst_sign(mask, old, new):
     return s
 
 
+def _conj_mask(mask, n):
+    """(mask, sign) of the sorted word `mask` under dz <-> dzb.
+
+    Every dz^k becomes dzb^k and every dzb^l becomes dz^l; restoring the
+    ascending order moves each new dz past each new dzb.
+    """
+    low, high = mask & ((1 << n) - 1), mask >> n
+    sign = -1 if (bin(low).count("1") * bin(high).count("1")) & 1 else 1
+    return (low << n) | high, sign
+
+
 def _iter_bits(mask):
     while mask:
         low = mask & -mask
@@ -955,17 +966,9 @@ def conj_C(x):
     n = x.n
     out = WeylElement(n, {}, x.truncation)
     for (p, sym, asym), coeff in x.terms.items():
-        new_sym = sym[n:] + sym[:n]
-        # map each asym bit i -> i+n mod 2n and count the inversions of the
-        # mapped word to normalize the ordering
-        word = [(b + n) % (2 * n) for b in _iter_bits(asym)]
-        inversions = 0
-        mask = 0
-        for i, b in enumerate(word):
-            mask |= 1 << b
-            inversions += sum(1 for c in word[i + 1:] if b > c)
+        mask, sign = _conj_mask(asym, n)
         c = coeff.conjugate()
-        if (inversions + p) & 1:
+        if (sign < 0) != bool(p & 1):
             c = -c
-        out._add(p, new_sym, mask, c)
+        out._add(p, sym[n:] + sym[:n], mask, c)
     return out

@@ -1,9 +1,16 @@
 """Chart loading, derived connection and curvature, fundamental form."""
 
+import copy
+import json
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wickstar import weyl
 from wickstar.chart import ChartError, load_chart, omega_form, poisson_bracket
+from wickstar.cli import main
 from wickstar.expr import parse
 
 
@@ -101,9 +108,9 @@ def test_ricci_proportional_to_omega(disk, cp1):
 
 def test_omega_form_values(c1_flat, disk):
     flat_omega = omega_form(c1_flat)
-    assert flat_omega.hm[(0, 0)] == parse("i/2", 1)
+    assert flat_omega[0b11] == parse("i/2", 1)
     disk_omega = omega_form(disk)
-    assert disk_omega.hm[(0, 0)] == parse("i/(1 - z1*zb1)^2", 1)
+    assert disk_omega[0b11] == parse("i/(1 - z1*zb1)^2", 1)
 
 
 def test_omega_closed_cp1(cp1):
@@ -142,3 +149,97 @@ def test_with_omega_shares_geometry(disk, disk_omega_nu):
     clone = disk.with_omega(disk_omega_nu.omega_series)
     assert clone.omega_series == disk_omega_nu.omega_series
     assert clone.connection is disk.connection
+
+
+def _describe(doc_text):
+    """Exit code of `describe` on a chart file holding `doc_text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chart.json")
+        with open(path, "w") as fh:
+            fh.write(doc_text)
+        return main(["describe", "--chart", path])
+
+
+@pytest.mark.parametrize("doc", [
+    {"dimension": 1, "metric": 5, "inverse_metric": 5},
+    {"dimension": 1, "metric": [[1]], "inverse_metric": [["1"]]},
+    {"dimension": 1, "metric": [["1"]], "inverse_metric": [["1"]],
+     "omega_series": [{"nu_power": 1, "form": {"dz1^dzb1": 3}}]},
+    [1, 2],
+    {"dimension": 1e999, "metric": [["1"]], "inverse_metric": [["1"]]},
+    {"dimension": 1, "metric": [5], "inverse_metric": [["1"]]},
+    {"dimension": 1, "metric": [["1"]], "inverse_metric": [["1"]], "factor_base": 5},
+    {"dimension": 1, "metric": [["1"]], "inverse_metric": [["1"]], "omega_series": [{"nu_power": 1}]},
+    {"name": 5, "dimension": 1, "metric": [["1"]], "inverse_metric": [["1"]]},
+    {"dimension": 1.5, "metric": [["1"]], "inverse_metric": [["1"]]},
+    {"dimension": True, "metric": [["1"]], "inverse_metric": [["1"]]},
+    {"dimension": 1, "metric": [["1"]], "inverse_metric": [["1"]],
+     "omega_series": [{"nu_power": 1.9, "form": "omega"}]},
+], ids=repr)
+def test_malformed_document_is_a_chart_error(doc, capsys):
+    with pytest.raises(ChartError):
+        load_chart(json.dumps(doc))
+    assert _describe(json.dumps(doc)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unreadable_chart_file_is_a_user_error(tmp_path, capsys):
+    undecodable = tmp_path / "chart.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, undecodable):
+        assert main(["describe", "--chart", str(path)]) == 1
+        assert "cannot read chart file" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1", "0", "z1", "zb1", "i", "1/(1 - z1*zb1)^2", "omega", "i*omega"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8) | st.sampled_from(["dz1^dzb1", "dz1^dz1"]),
+                      children, max_size=3),
+    max_leaves=8,
+)
+
+_VALID = {
+    "name": "fuzz",
+    "dimension": 1,
+    "metric": [["1"]],
+    "inverse_metric": [["1"]],
+    "factor_base": [],
+    "potential_gradient": ["(1/2)*i*zb1"],
+    "omega_series": [{"nu_power": 1, "form": {"dz1^dzb1": "1"}}],
+}
+
+_PATHS = [
+    ("name",), ("dimension",), ("metric",), ("metric", 0), ("metric", 0, 0),
+    ("inverse_metric",), ("inverse_metric", 0, 0), ("factor_base",),
+    ("potential_gradient",), ("potential_gradient", 0), ("omega_series",),
+    ("omega_series", 0), ("omega_series", 0, "nu_power"), ("omega_series", 0, "form"),
+    ("omega_series", 0, "form", "dz1^dzb1"),
+]
+
+
+@st.composite
+def _chart_documents(draw):
+    """Arbitrary JSON, or a valid chart with some fields replaced or removed."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    doc = copy.deepcopy(_VALID)
+    for path in draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3)):
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                parent[path[-1]] = draw(_JSON)
+            elif isinstance(parent, dict):
+                parent.pop(path[-1], None)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chart_documents())
+def test_fuzzed_chart_documents_exit_0_or_1(doc):
+    assert _describe(json.dumps(doc)) in (0, 1)

@@ -1,5 +1,7 @@
 """Exact arithmetic layer: parsing, field operations, calculus, reduction."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from wickstar.expr import (
     GaussianRational,
     MAX_EXPONENT,
     MAX_POWER_DEGREE,
+    MAX_TERMS,
     ParseError,
     parse,
     reduce,
@@ -216,6 +219,25 @@ def test_power_degree_cap():
     for text in ("((z1+zb1)^64)^64", "(z1*zb1)^33", "(1/(1 - z1*zb1))^33"):
         with pytest.raises(ParseError, match="exceeds the cap"):
             parse(text, 1)
+
+
+def test_term_cap():
+    """The degree cap does not bound the terms; sums, products, quotients
+    and powers are checked on a bound of their terms before computing."""
+    five = "(z1+z2+zb1+zb2+1)"
+    assert len(parse(f"{five}^8", 2).num.terms) == 495
+    hostile = (
+        f"{five}^16",
+        f"{five}^64",
+        "*".join([five] * 64),
+        "/".join(["1"] + [five] * 64),
+        "+".join(f"1/({c}+z1+z2+zb1+zb2)" for c in range(1, 65)),
+    )
+    for text in hostile:
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_TERMS}"):
+            parse(text, 2)
+        assert time.perf_counter() - started < 1
 
 
 @st.composite

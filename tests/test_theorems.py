@@ -4,7 +4,7 @@ characterizing form, Hermiticity, differential order, separation."""
 import pytest
 
 from wickstar import weyl
-from wickstar.chart import FormSeries, OneForm, OneFormSeries, TwoForm
+from wickstar.chart import FormSeries, OneForm, TwoForm
 from wickstar.expr import ChartExpr, parse
 from wickstar.fedosov import (
     FedosovData,
@@ -109,13 +109,13 @@ def test_star_via_projections(d_disk_nu, p1):
 
 
 def test_renormalize_trivial(d_flat):
-    assert renormalize_s(d_flat, OneFormSeries.zero(1)) is d_flat
+    assert renormalize_s(d_flat, FormSeries.zero(1)) is d_flat
 
 
 def test_renormalize_shift(d_flat, c1_flat, p1):
-    B = OneFormSeries(1, [(1, OneForm(1, hol={0: p1("zb1")}))])
+    B = FormSeries(1, [(1, OneForm(1, hol={0: p1("zb1")}))])
     shifted = renormalize_s(d_flat, B)
-    assert shifted.r - d_flat.r == B.to_weyl_form(truncation=8)
+    assert shifted.r - d_flat.r == B.to_weyl(truncation=8)
     assert shifted.omega.is_closed()
     assert shifted.omega == FormSeries(1, [(1, TwoForm(1, hm={(0, 0): ChartExpr.one(1)}))])
     z, zb = p1("z1"), p1("zb1")
@@ -127,7 +127,7 @@ def test_renormalize_shift(d_flat, c1_flat, p1):
 
 
 def test_equivalence_trivial(d_flat, p1):
-    transform = equivalence_A_h(d_flat, d_flat, OneFormSeries.zero(1), 2)
+    transform = equivalence_A_h(d_flat, d_flat, FormSeries.zero(1), 2)
     assert transform.h.is_zero()
     f = p1("z1*zb1")
     assert transform.apply(f, 2) == NuSeries.from_function(f, 2)
@@ -137,7 +137,7 @@ def test_equivalence_between_forms(c1_flat, p1):
     d0 = FedosovData("wick", c1_flat, K=6)
     omega_p = FormSeries(1, [(1, TwoForm(1, hm={(0, 0): ChartExpr.one(1)}))])
     d1 = FedosovData("wick", c1_flat, K=6, omega=omega_p)
-    C = OneFormSeries(1, [(1, OneForm(1, hol={0: p1("zb1")}))])
+    C = FormSeries(1, [(1, OneForm(1, hol={0: p1("zb1")}))])
     transform = equivalence_A_h(d0, d1, C, 2)
     z, zb = p1("z1"), p1("zb1")
     for f, g in ((z, zb), (zb, z * zb), (z * zb, z)):
@@ -153,7 +153,7 @@ def test_equivalence_requires_cohomologous_forms(c1_flat):
     omega_p = FormSeries(1, [(1, TwoForm(1, hm={(0, 0): ChartExpr.one(1)}))])
     d1 = FedosovData("wick", c1_flat, K=6, omega=omega_p)
     with pytest.raises(FedosovError):
-        equivalence_A_h(d0, d1, OneFormSeries.zero(1), 2)
+        equivalence_A_h(d0, d1, FormSeries.zero(1), 2)
 
 
 def test_normalization_independence(c1_flat, p1):
@@ -165,7 +165,7 @@ def test_normalization_independence(c1_flat, p1):
     d1 = FedosovData("wick", c1_flat, K=8, s=mixed)
     assert weyl.project(d1.s, "pi_z").is_zero()
     assert weyl.project(d1.s, "pi_zbar").is_zero()
-    transform = equivalence_A_h(d0, d1, OneFormSeries.zero(1), 3)
+    transform = equivalence_A_h(d0, d1, FormSeries.zero(1), 3)
     z, zb = p1("z1"), p1("zb1")
     for f in (z, zb, z * zb, z ** 2 * zb):
         assert transform.apply(f, 3) == NuSeries.from_function(f, 3)
