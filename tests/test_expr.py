@@ -1,6 +1,8 @@
 """Exact arithmetic layer: parsing, field operations, calculus, reduction."""
 
+import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,3 +291,146 @@ def test_equal_values_serialize_equally(case, var):
     for x, y in pairs:
         assert x == y
         assert x.serialize() == y.serialize()
+
+
+# -- the coefficient kernel ------------------------------------------------------
+
+wide_fraction = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=360),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """A GaussianRational and its (re, im) pair of Fractions."""
+    re, im = draw(wide_fraction), draw(wide_fraction)
+    return GaussianRational(re, im), (Fraction(re), Fraction(im))
+
+
+def _pair_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
+
+
+def _pair_render(re, im):
+    """The renderer over a pair of Fractions, as coefficients were printed
+    when they were held as such a pair."""
+    if not im:
+        text = str(re)
+        return text, "/" not in text and not text.startswith("-")
+    if not re:
+        if im == 1:
+            return "i", True
+        if im == -1:
+            return "-i", False
+        return f"{im}*i", "/" not in str(im) and im > 0
+    im_part = "i" if im == 1 else ("-i" if im == -1 else f"{im}*i")
+    if im > 0:
+        return f"{re} + {im_part}", False
+    return f"{re} - {im_part.lstrip('-')}", False
+
+
+def _matches(x, pair):
+    """x holds the value of pair, in the normalized triple."""
+    assert type(x.a) is int and type(x.b) is int and type(x.d) is int
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert isinstance(x.re, Fraction) and isinstance(x.im, Fraction)
+    assert (x.re, x.im) == pair
+    same = GaussianRational(*pair)
+    assert x == same and hash(x) == hash(same)
+    assert x.render() == _pair_render(*pair)
+    assert bool(x) == bool(pair[0] or pair[1])
+
+
+@given(coefficient_pairs(), coefficient_pairs(), st.integers(-5, 5))
+@settings(max_examples=300)
+def test_coefficient_arithmetic_matches_fraction_pairs(x, y, k):
+    (x, xp), (y, yp) = x, y
+    _matches(x, xp)
+    _matches(x + y, (xp[0] + yp[0], xp[1] + yp[1]))
+    _matches(x - y, (xp[0] - yp[0], xp[1] - yp[1]))
+    _matches(x * y, _pair_mul(xp, yp))
+    _matches(-x, (-xp[0], -xp[1]))
+    _matches(x.conjugate(), (xp[0], -xp[1]))
+    _matches(x + 3, (xp[0] + 3, xp[1]))
+    _matches(x * Fraction(2, 3), (xp[0] * Fraction(2, 3), xp[1] * Fraction(2, 3)))
+    one = (Fraction(1), Fraction(0))
+    power = one
+    for _ in range(abs(k)):
+        power = _pair_mul(power, xp)
+    if y:
+        _matches(x / y, _pair_div(xp, yp))
+    else:
+        with pytest.raises(ExprDivisionError):
+            x / y
+    if x:
+        _matches(x.inverse(), _pair_div(one, xp))
+        _matches(x ** k, power if k >= 0 else _pair_div(one, power))
+    else:
+        with pytest.raises(ExprDivisionError):
+            x.inverse()
+        _matches(x ** abs(k), power)
+
+
+@given(coefficient_pairs(), coefficient_pairs())
+@settings(max_examples=300)
+def test_coefficients_are_equal_exactly_when_their_values_are(x, y):
+    (x, xp), (y, yp) = x, y
+    assert (x == y) == (xp == yp)
+    assert (x != y) == (xp != yp)
+    # the same value reached along another route
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    if not xp[1]:
+        assert x == xp[0] and hash(x) == hash(xp[0])
+
+
+def test_negative_power_inverts():
+    assert GaussianRational(2) ** -1 == GaussianRational(Fraction(1, 2))
+    assert GaussianRational(0, 2) ** -2 == GaussianRational(Fraction(-1, 4))
+    with pytest.raises(ExprDivisionError):
+        GaussianRational(0) ** -1
+
+
+def test_comparison_with_a_non_number_is_false():
+    one = GaussianRational(1)
+    assert not one == "x"
+    assert one != "x"
+    assert not one == None  # noqa: E711
+    assert one not in ("x", None)
+
+
+def test_real_values_hash_like_int_and_fraction():
+    assert GaussianRational(1) == 1 and hash(GaussianRational(1)) == hash(1)
+    half = Fraction(-1, 2)
+    assert GaussianRational(half) == half and hash(GaussianRational(half)) == hash(half)
+    assert len({1, GaussianRational(1), Fraction(1)}) == 1
+
+
+def test_dense_power_value():
+    """The largest power inside the caps, computed by repeated
+    multiplication: the central coefficient is C(64, 32)."""
+    power = parse("(z1+zb1+1)^64", 1)
+    assert len(power.num.terms) == 2145
+    assert power.num.terms[(32, 32)] == math.comb(64, 32)
+
+
+def test_power_with_rational_and_imaginary_coefficients():
+    """Every coefficient of (z1/3 + i*zb1/2 + 2/7)^64 is the multinomial
+    term, computed here in Fractions; the coefficients grow big integers."""
+    power = parse("(1/3*z1 + i/2*zb1 + 2/7)^64", 1)
+    assert power.is_polynomial() and len(power.num.terms) == 2145
+    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    for (p, q), coeff in power.num.terms.items():
+        r = 64 - p - q
+        magnitude = (Fraction(math.factorial(64), math.factorial(p) * math.factorial(q) * math.factorial(r))
+                     * Fraction(1, 3) ** p * Fraction(1, 2) ** q * Fraction(2, 7) ** r)
+        re, im = i_powers[q % 4]
+        assert coeff == GaussianRational(re * magnitude, im * magnitude)
+    assert max(c.d for c in power.num.terms.values()) > 2 ** 64
