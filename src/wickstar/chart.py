@@ -19,6 +19,7 @@ from .expr import (
     ChartExpr,
     ExprError,
     GaussianRational,
+    factor_base as interned_base,
     parse,
     var_name,
 )
@@ -436,7 +437,7 @@ class Chart:
         self.n = n
         self.metric = metric
         self.inverse_metric = inverse_metric
-        self.factor_base = tuple(factor_base)
+        self.factor_base = interned_base(factor_base)
         self.potential_gradient = potential_gradient
         self.omega_series = omega_series if omega_series is not None else FormSeries.zero(n)
         self.name = name
@@ -496,10 +497,6 @@ class Chart:
         out._memo = self._memo
         return out
 
-    def omega_scaled_series(self, scaled_powers):
-        """Series sum nu^i c_i * omega from (power, scalar) pairs."""
-        return FormSeries(self.n, [(p, self.omega.scale(c)) for p, c in scaled_powers])
-
     def validate(self):
         n = self.n
         for k in range(n):
@@ -553,7 +550,16 @@ def _is_integer(value):
 
 
 def _parse_text(text, n, base, what):
-    return parse(_expect(text, str, what), n, base)
+    """A chart expression; its denominator must factor over the base and
+    the coordinates, so that values computed from the chart data have a
+    unique reduced form."""
+    text = _expect(text, str, what)
+    expr = parse(text, n, base)
+    if not expr.is_factored():
+        raise ChartError(
+            f"{what} {text!r} has a denominator that does not factor over the factor base"
+        )
+    return expr
 
 
 def _parse_form_component_key(key, n):
@@ -644,14 +650,17 @@ def load_chart(source):
 
     base = []
     for text in _expect(doc.get("factor_base", []), list, "`factor_base`"):
-        poly_expr = _parse_text(text, n, (), "factor base entries")
+        poly_expr = parse(_expect(text, str, "factor base entries"), n)
         if not poly_expr.is_polynomial():
             raise ChartError(f"factor base entry {text!r} is not a polynomial")
         poly = poly_expr.num
         if poly.is_constant():
             raise ChartError(f"factor base entry {text!r} is constant")
         base.append(poly)
-    base = tuple(base)
+    try:
+        base = interned_base(base)
+    except ExprError as exc:
+        raise ChartError(str(exc)) from exc
 
     def load_matrix(field):
         rows = _expect(doc[field], list, f"`{field}`")

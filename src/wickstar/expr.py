@@ -9,11 +9,11 @@ Internally a variable is an index 0..2n-1: indices 0..n-1 are the
 holomorphic coordinates z1..zn, indices n..2n-1 the antiholomorphic
 coordinates zb1..zbn.
 
-There is deliberately no general multivariate gcd.  Equality of rational
-functions is decided by cross-multiplication, and simplification only
-divides out declared factor-base polynomials (supplied per chart) and
-common monomial factors.  That is enough to keep the expressions of the
-Fedosov recursion small on the bundled charts.
+There is deliberately no general multivariate gcd.  A denominator is kept
+factored over the coordinates and a declared factor base (supplied per
+chart), so simplification is exponent arithmetic plus trial division of the
+numerator by those factors.  That keeps the expressions of the Fedosov
+recursion small on the bundled charts and makes their form canonical.
 """
 
 from __future__ import annotations
@@ -416,20 +416,10 @@ class ChartPolynomial:
         return f"<ChartPolynomial {self.render()}>"
 
 
-_FACTOR_CACHE = {}
-_DIVIDER_CACHE = {}
+_FACTORS = {}
+_BASES = {}
 _ZERO_CACHE = {}
 _ONE_CACHE = {}
-
-
-def _divider(factor):
-    """A function taking poly to poly / factor, or to None when the division
-    is not exact.  Memoized per factor; base polynomials are few."""
-    hit = _DIVIDER_CACHE.get(factor)
-    if hit is None:
-        hit = _chain_divider(factor) or (lambda poly: poly.exact_div(factor))
-        _DIVIDER_CACHE[factor] = hit
-    return hit
 
 
 def _chain_divider(factor):
@@ -485,120 +475,199 @@ def _chain_divider(factor):
     return divide
 
 
-def _single_base_power(den, base):
-    """(b, m) when the non-constant den is exactly b**m for one base factor,
-    None otherwise.  Memoized; denominators are small."""
-    key = (den, base)
-    hit = _FACTOR_CACHE.get(key, "miss")
-    if hit != "miss":
-        return hit
-    result = None
-    for b in base:
-        m = 0
-        work = den
-        divide = _divider(b)
-        while True:
-            q = divide(work)
-            if q is None:
-                break
-            work = q
-            m += 1
-        if m and work.is_constant() and work.constant_value() == GR_ONE:
-            result = (b, m)
-            break
-    _FACTOR_CACHE[key] = result
-    return result
-
-
-def _cancel_monomial(num, den):
-    """Divide out the largest monomial common to every term of num and den."""
-    nvars = num.nvars
+def _monomial_content(poly):
+    """The exponent of the largest monomial dividing every term of poly."""
     common = None
-    for poly in (num, den):
-        for exp in poly.terms:
-            if common is None:
-                common = list(exp)
-            else:
-                common = [min(a, b) for a, b in zip(common, exp)]
-            if not any(common):
-                return num, den
-    if common is None or not any(common):
-        return num, den
-    shift = tuple(common)
-
-    def shifted(poly):
-        return ChartPolynomial(
-            nvars,
-            {tuple(a - b for a, b in zip(exp, shift)): c for exp, c in poly.terms.items()},
-        )
-
-    return shifted(num), shifted(den)
+    for exp in poly.terms:
+        common = exp if common is None else tuple(map(min, common, exp))
+        if not any(common):
+            break
+    return common
 
 
-def _cancel_common(num, den, base):
-    """Divide num and den by their largest common monomial and by every
-    base factor they share, as often as both stay divisible.
+def _shifted(poly, delta):
+    """poly times the monomial x^delta; delta may lower exponents it divides."""
+    return ChartPolynomial(
+        poly.nvars, {tuple(map(operator.add, exp, delta)): c for exp, c in poly.terms.items()}
+    )
 
-    This is the one reduction kernel.  With base entries irreducible and
-    pairwise coprime, a denominator that factors over the base and the
-    coordinates comes out coprime to the numerator.
+
+def _monic(poly):
+    """(poly / lc, lc) for the lexicographically leading coefficient lc."""
+    _, lead = poly.leading()
+    return (poly, lead) if lead == GR_ONE else (poly.scale(lead.inverse()), lead)
+
+
+class _Factor:
+    """One factor-base entry b, held monic, with its exact divider, the
+    powers of it computed so far and its partial derivatives."""
+
+    __slots__ = ("monic", "divide", "powers", "derivatives")
+
+    def __init__(self, poly):
+        if poly.is_constant():
+            raise ExprError("factor base entries must be non-constant")
+        if any(_monomial_content(poly)):
+            raise ExprError(f"factor base entry {poly.render()!r} has a monomial factor")
+        monic, _ = _monic(poly)
+        self.monic = monic
+        self.divide = _chain_divider(monic) or (lambda p: p.exact_div(monic))
+        self.powers = [ChartPolynomial.one(poly.nvars), monic]
+        self.derivatives = tuple(monic.derivative(j) for j in range(poly.nvars))
+
+    def power(self, k):
+        powers = self.powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.monic)
+        return powers[k]
+
+
+def _factor(poly):
+    hit = _FACTORS.get(poly)
+    if hit is None:
+        hit = _FACTORS[poly] = _Factor(poly)
+    return hit
+
+
+class _FactorBase(tuple):
+    """A factor base: the tuple of its polynomials, with their `_Factor`s.
+
+    Interned by value, so the values of one chart share one object and most
+    base comparisons are identity tests.  Entries are checked to have no
+    monomial factor, and no entry may repeat or divide another; irreducible,
+    pairwise coprime entries are the chart author's promise.
     """
-    if num.is_constant() or den.is_constant():
-        return num, den
-    num, den = _cancel_monomial(num, den)
-    for factor in base:
-        divide = _divider(factor)
-        while not den.is_constant():
-            qn = divide(num)
-            if qn is None:
-                break
-            qd = divide(den)
-            if qd is None:
-                break
-            num, den = qn, qd
-    return num, den
+
+    def __new__(cls, polys):
+        self = super().__new__(cls, polys)
+        self.factors = tuple(_factor(b) for b in self)
+        self.zeros = (0,) * len(self)
+        for i, fi in enumerate(self.factors):
+            for j, fj in enumerate(self.factors):
+                if i == j:
+                    continue
+                text = self[i].render()
+                if fi.monic == fj.monic:
+                    raise ExprError(f"factor base entry {text!r} repeats another entry")
+                if fi.divide(fj.monic) is not None:
+                    raise ExprError(f"factor base entry {text!r} divides another entry")
+        return self
+
+
+def factor_base(polys):
+    """The validated factor base of the polynomials `polys`, interned.
+
+    Raises ExprError for a constant entry, an entry with a monomial factor,
+    or an entry that repeats (up to a constant) or divides another.
+    """
+    if type(polys) is _FactorBase:
+        return polys
+    polys = tuple(polys)
+    hit = _BASES.get(polys)
+    if hit is None:
+        hit = _BASES[polys] = _FactorBase(polys)
+    return hit
+
+
+def _new(num, mono, exps, res, base):
+    out = object.__new__(ChartExpr)
+    out.num = num
+    out._mono = mono
+    out._exps = exps
+    out._res = res
+    out.base = base
+    return out
+
+
+def _zero(nvars, base):
+    return _new(ChartPolynomial(nvars), (0,) * nvars, base.zeros, None, base)
+
+
+def _times_res(r1, r2):
+    if r1 is None:
+        return r2
+    return r1 if r2 is None else r1 * r2
+
+
+def _added(t1, t2):
+    if not any(t1):
+        return t2
+    return t1 if not any(t2) else tuple(map(operator.add, t1, t2))
+
+
+def _cancel(num, mono, exps, factors, most_mono, most_exps):
+    """Divide num by the coordinates and base factors it shares with the
+    denominator x^mono * prod b_i^exps_i, by x_j at most most_mono[j] times
+    and by b_i at most most_exps[i] times; returns num and the lowered
+    exponents.  Only the numerator is ever divided."""
+    if any(most_mono):
+        common = tuple(map(min, most_mono, _monomial_content(num)))
+        if any(common):
+            num = _shifted(num, tuple(-c for c in common))
+            mono = tuple(map(operator.sub, mono, common))
+    if any(most_exps):
+        exps = list(exps)
+        for i, most in enumerate(most_exps):
+            if most:
+                divide = factors[i].divide
+                for _ in range(most):
+                    q = divide(num)
+                    if q is None:
+                        break
+                    num = q
+                    exps[i] -= 1
+        exps = tuple(exps)
+    return num, mono, exps
 
 
 class ChartExpr:
     """Rational function num/den in the chart coordinates.
 
-    Canonical form: the denominator is nonzero, its lexicographically
-    leading coefficient is 1, and numerator and denominator share no
-    monomial and no factor of the attached factor base.  Zero is stored as
-    0/1.  For a denominator that factors over the base and the coordinates
-    this form is unique, so equal values serialize to equal bytes.
-    Equality is decided by cross-multiplication, so it holds for other
-    denominators too.
+    The denominator is held factored, as R * x^m * prod_i b_i^(e_i): m is
+    the exponent tuple of a coordinate monomial, e is aligned with the
+    factor base `base` (each b_i taken monic), and the residual R is 1 or a
+    monic polynomial with no monomial and no base factor.  The numerator
+    shares no coordinate and no base factor with the denominator.  `den`
+    expands the product on each read, with leading coefficient 1.
+
+    When R is 1, as for every value on the bundled charts, this form is
+    unique, so equality is structural and equal values serialize to equal
+    bytes.  Values with R != 1 (a denominator the base does not cover) are
+    compared by cross-multiplication.  Zero is stored as 0/1.
     """
 
-    __slots__ = ("num", "den", "base")
+    __slots__ = ("num", "_mono", "_exps", "_res", "base")
 
     def __init__(self, num, den=None, base=()):
-        if den is None:
-            den = ChartPolynomial.one(num.nvars)
-        if den.is_zero():
+        base = factor_base(base)
+        mono, exps, res = (0,) * num.nvars, base.zeros, None
+        if den is not None and den.is_zero():
             raise ExprDivisionError("zero denominator")
-        self._store(*_cancel_common(num, den, base), base)
-
-    @staticmethod
-    def _from_reduced(num, den, base):
-        """num/den where num and den share no monomial and no base factor."""
-        out = object.__new__(ChartExpr)
-        out._store(num, den, base)
-        return out
-
-    def _store(self, num, den, base):
-        if num.is_zero():
-            den = ChartPolynomial.one(num.nvars)
-        else:
-            _, lead = den.leading()
+        if den is not None and not num.is_zero():
+            # split den into a monomial, powers of the base factors and a
+            # monic residual, then divide num by what it shares with them
+            mono = _monomial_content(den)
+            if any(mono):
+                den = _shifted(den, tuple(-m for m in mono))
+            exps = []
+            for fac in base.factors:
+                e = 0
+                while not den.is_constant():
+                    q = fac.divide(den)
+                    if q is None:
+                        break
+                    den = q
+                    e += 1
+                exps.append(e)
+            exps = tuple(exps)
+            if den.is_constant():
+                lead = den.constant_value()
+            else:
+                res, lead = _monic(den)
             if lead != GR_ONE:
-                inv = lead.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
-        self.num = num
-        self.den = den
-        self.base = base
+                num = num.scale(lead.inverse())
+            num, mono, exps = _cancel(num, mono, exps, base.factors, mono, exps)
+        self.num, self._mono, self._exps, self._res, self.base = num, mono, exps, res, base
 
     # -- constructors ------------------------------------------------------
 
@@ -636,44 +705,103 @@ class ChartExpr:
     def n(self):
         return self.num.nvars // 2
 
+    @property
+    def den(self):
+        """The expanded denominator, leading coefficient 1."""
+        out = None
+        for fac, e in zip(self.base.factors, self._exps):
+            if e:
+                out = fac.power(e) if out is None else out * fac.power(e)
+        if out is None:
+            out = ChartPolynomial(self.num.nvars, {self._mono: GR_ONE})
+        elif any(self._mono):
+            out = _shifted(out, self._mono)
+        return out if self._res is None else out * self._res
+
     def is_zero(self):
         return self.num.is_zero()
 
+    def is_polynomial(self):
+        return self._res is None and not any(self._mono) and not any(self._exps)
+
+    def is_factored(self):
+        """True when the denominator is a coordinate monomial times powers
+        of base factors, with no residual."""
+        return self._res is None
+
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        return self.num.is_constant() and self.is_polynomial()
 
     def constant_value(self):
         if not self.is_constant():
             raise ExprError("expression is not constant")
-        if self.num.is_zero():
-            return GR_ZERO
-        return self.num.constant_value() / self.den.constant_value()
-
-    def is_polynomial(self):
-        return self.den.is_constant()
+        return self.num.constant_value()
 
     def with_base(self, base):
+        return self._over(factor_base(base))
+
+    def _over(self, base):
+        """This value reduced over the interned base `base`."""
+        if self.base is base:
+            return self
+        if self._res is None and all(b in base for b, e in zip(self.base, self._exps) if e):
+            exps = list(base.zeros)
+            for b, e in zip(self.base, self._exps):
+                if e:
+                    exps[base.index(b)] = e
+            return _new(self.num, self._mono, tuple(exps), None, base)
         return ChartExpr(self.num, self.den, base)
 
     def _join_base(self, other):
-        if self.base == other.base:
-            return self.base
-        extra = tuple(b for b in other.base if b not in self.base)
-        return self.base + extra
+        b1, b2 = self.base, other.base
+        if b1 is b2 or not b2:
+            return b1
+        if not b1:
+            return b2
+        return factor_base(b1 + tuple(b for b in b2 if b not in b1))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _combine(self, other, subtract):
         base = self._join_base(other)
-        if self.den == other.den:
-            num = self.num - other.num if subtract else self.num + other.num
-            return ChartExpr(num, self.den, base)
-        num = (
-            self.num * other.den - other.num * self.den
-            if subtract
-            else self.num * other.den + other.num * self.den
-        )
-        return ChartExpr(num, self.den * other.den, base)
+        a, b = self._over(base), other._over(base)
+        if b.num.is_zero():
+            return a
+        if a.num.is_zero():
+            return -b if subtract else b
+        ra, rb = a._res, b._res
+        if a._mono == b._mono and a._exps == b._exps and (ra is rb or (
+                ra is not None and rb is not None and ra == rb)):
+            num = a.num - b.num if subtract else a.num + b.num
+            mono, exps, res = a._mono, a._exps, ra
+            most_mono, most_exps = mono, exps
+        else:
+            # over the lcm of the factored parts, each side times its cofactor;
+            # where the two exponents differ, one side keeps a factor the other
+            # lacks, so only equal exponents can cancel
+            mono = tuple(map(max, a._mono, b._mono))
+            exps = tuple(map(max, a._exps, b._exps))
+            na = a._cofactor(mono, exps, rb)
+            nb = b._cofactor(mono, exps, ra)
+            num = na - nb if subtract else na + nb
+            res = _times_res(ra, rb)
+            most_mono = tuple(x if x == y else 0 for x, y in zip(a._mono, b._mono))
+            most_exps = tuple(x if x == y else 0 for x, y in zip(a._exps, b._exps))
+        if num.is_zero():
+            return _zero(num.nvars, base)
+        num, mono, exps = _cancel(num, mono, exps, base.factors, most_mono, most_exps)
+        return _new(num, mono, exps, res, base)
+
+    def _cofactor(self, mono, exps, res):
+        """The numerator over the denominator res * x^mono * prod b_i^exps_i,
+        a multiple of this value's own."""
+        num = self.num
+        if mono != self._mono:
+            num = _shifted(num, tuple(map(operator.sub, mono, self._mono)))
+        for fac, e, own in zip(self.base.factors, exps, self._exps):
+            if e != own:
+                num = num * fac.power(e - own)
+        return num if res is None else num * res
 
     def __add__(self, other):
         return self._combine(other, subtract=False)
@@ -685,44 +813,34 @@ class ChartExpr:
         return self._rescaled(-self.num)
 
     def _rescaled(self, new_num):
-        """Same denominator, numerator rescaled by a nonzero constant.
-
-        Precondition: self is reduced.  Scaling by a constant keeps it so,
-        so construction-time reduction is skipped."""
-        out = object.__new__(ChartExpr)
+        """Same denominator, numerator rescaled by a nonzero constant, which
+        keeps the value reduced."""
         if new_num.is_zero():
-            out.num = new_num
-            out.den = ChartPolynomial.one(new_num.nvars)
-        else:
-            out.num = new_num
-            out.den = self.den
-        out.base = self.base
-        return out
+            return _zero(new_num.nvars, self.base)
+        return _new(new_num, self._mono, self._exps, self._res, self.base)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        return self._times(other.num, other.den, other)
+        return self._times(other)
 
-    def _times(self, num, den, other):
-        """self * (num/den), where num/den is other or its reciprocal."""
+    def _times(self, other):
         base = self._join_base(other)
-        if not (self._reduced_over(base) and other._reduced_over(base)):
-            return ChartExpr(self.num * num, self.den * den, base)
-        # each factor is reduced over base, so a factor common to the product
-        # pairs one side's numerator with the other side's denominator:
-        # cancel across, and the product of what is left is reduced
-        num1, den2 = _cancel_common(self.num, den, base)
-        num2, den1 = _cancel_common(num, self.den, base)
-        return ChartExpr._from_reduced(num1 * num2, den1 * den2, base)
-
-    def _reduced_over(self, base):
-        return self.base == base or self.den.is_constant()
+        a, b = self._over(base), other._over(base)
+        if a.num.is_zero() or b.num.is_zero():
+            return _zero(a.num.nvars, base)
+        # each factor is reduced, so a factor common to the product pairs one
+        # side's numerator with the other side's denominator: cancel across,
+        # and the product of what is left is reduced
+        factors = base.factors
+        n1, m2, e2 = _cancel(a.num, b._mono, b._exps, factors, b._mono, b._exps)
+        n2, m1, e1 = _cancel(b.num, a._mono, a._exps, factors, a._mono, a._exps)
+        return _new(n1 * n2, _added(m1, m2), _added(e1, e2), _times_res(a._res, b._res), base)
 
     def scale(self, value):
         value = GaussianRational.coerce(value)
         if value.is_zero():
-            return ChartExpr.zero(self.n).with_base(self.base) if self.base else ChartExpr.zero(self.n)
+            return _zero(self.num.nvars, self.base)
         return self._rescaled(self.num.scale(value))
 
     def __truediv__(self, other):
@@ -733,7 +851,7 @@ class ChartExpr:
             return self.scale(value.inverse())
         if other.is_zero():
             raise ExprDivisionError("division by zero expression")
-        return self._times(other.den, other.num, other)
+        return self._times(ChartExpr(other.den, other.num, other.base))
 
     def __pow__(self, k):
         if k < 0:
@@ -747,8 +865,10 @@ class ChartExpr:
     def __eq__(self, other):
         if not isinstance(other, ChartExpr):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
+        if self._res is None and other._res is None:
+            base = self._join_base(other)
+            a, b = self._over(base), other._over(base)
+            return a._mono == b._mono and a._exps == b._exps and a.num == b.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
@@ -759,25 +879,50 @@ class ChartExpr:
     def differentiate(self, index):
         if not 0 <= index < self.nvars:
             raise ExprError(f"coordinate index {index} out of range")
-        dnum = self.num.derivative(index)
-        dden = self.den.derivative(index)
-        if dden.is_zero():
-            return ChartExpr(dnum, self.den, self.base)
-        # for den = b^m the quotient rule's common power cancels analytically:
-        # d(n / b^m) = (n' b - m n b') / b^(m+1).  Precondition: self is
-        # reduced, so b does not divide n, and b is irreducible, so b does not
-        # divide the new numerator either; no reduction pass is needed
-        fac = _single_base_power(self.den, self.base)
-        if fac is not None:
-            b, m = fac
-            db = b.derivative(index)
-            num = dnum * b - self.num.scale(GaussianRational(m)) * db
-            return ChartExpr._from_reduced(num, self.den * b, self.base)
-        return ChartExpr(
-            dnum * self.den - self.num * dden,
-            self.den * self.den,
-            self.base,
-        )
+        num, mono, exps, base = self.num, self._mono, self._exps, self.base
+        dnum = num.derivative(index)
+        if self._res is not None:
+            den = self.den
+            dden = den.derivative(index)
+            if dden.is_zero():
+                return ChartExpr(dnum, den, base)
+            return ChartExpr(dnum * den - num * dden, den * den, base)
+        factors = base.factors
+        # the factors of the denominator D that involve x_index, with their
+        # derivatives times their exponents
+        involved = tuple(bool(e and fac.derivatives[index].terms) for fac, e in zip(factors, exps))
+        parts = [(fac.monic, fac.derivatives[index].scale(GaussianRational(e)))
+                 for fac, e, inv in zip(factors, exps, involved) if inv]
+        mk = mono[index]
+        if mk:
+            parts.append((ChartPolynomial.variable(self.nvars, index),
+                          ChartPolynomial.constant(self.nvars, mk)))
+        if not parts:
+            if dnum.is_zero():
+                return _zero(self.nvars, base)
+            dnum, mono, exps = _cancel(dnum, mono, exps, factors, mono, exps)
+            return _new(dnum, mono, exps, None, base)
+        # logarithmic derivative: with P the product of the parts p and
+        # D'/D = sum c'/p, d(N/D) = (N' P - N sum c' P/p) / (D P).  N shares no
+        # part with D and each p is prime to c' and to the other parts, so no
+        # part divides the new numerator; only the factors of D that do not
+        # involve x_index may cancel
+        prod, logsum = None, None
+        for p, dp in parts:
+            if prod is None:
+                prod, logsum = p, dp
+            else:
+                logsum = logsum * p + dp * prod
+                prod = prod * p
+        new = dnum * prod - num * logsum
+        if new.is_zero():
+            return _zero(self.nvars, base)
+        most_mono = tuple(0 if j == index else m for j, m in enumerate(mono))
+        most_exps = tuple(0 if inv else e for e, inv in zip(exps, involved))
+        new, mono, exps = _cancel(new, mono, exps, factors, most_mono, most_exps)
+        # the parts' exponents were left alone; each goes up by one
+        mono = tuple(m + (j == index and m > 0) for j, m in enumerate(mono))
+        return _new(new, mono, tuple(map(operator.add, exps, involved)), None, base)
 
     def conjugate(self):
         return ChartExpr(self.num.conjugate(), self.den.conjugate(), self.base)
@@ -790,7 +935,7 @@ class ChartExpr:
 
     def pretty(self):
         """Display form; a trivial denominator is elided."""
-        if self.den.is_constant() and self.den.constant_value() == GR_ONE:
+        if self.is_polynomial():
             return self.num.render()
         return f"({self.num.render()})/({self.den.render()})"
 
@@ -802,15 +947,9 @@ class ChartExpr:
 
 
 def reduce(expr, factor_base):
-    """Trial-divide numerator and denominator by the factor base.
-
-    Value-preserving: only factors common to both are removed.  Entries of
-    the base must be non-constant polynomials.
-    """
-    for factor in factor_base:
-        if factor.is_constant():
-            raise ExprError("factor base entries must be non-constant")
-    return ChartExpr(expr.num, expr.den, tuple(factor_base))
+    """Divide out the factors common to numerator and denominator over
+    `factor_base`, a sequence of non-constant polynomials.  Value-preserving."""
+    return expr.with_base(factor_base)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -1006,5 +1145,5 @@ def parse(text, n, base=()):
     """Parse `text` into a canonical ChartExpr on an n-dimensional chart."""
     expr = _Parser(text, n).parse()
     if base:
-        expr = expr.with_base(tuple(base))
+        expr = expr.with_base(base)
     return expr

@@ -776,22 +776,18 @@ def _solve_gradient(chart, w, offset):
 
 
 def _omega_scalar_ratio(chart, form):
-    """The constant c with form = c * omega, or None."""
+    """The constant c with form = c * omega, or None.
+
+    Reduced values c * w and w share their denominator, so c is the ratio
+    of the numerators' leading coefficients.  No quotient is formed: val / ref
+    stays unreduced when the numerators hold a factor outside the base."""
     omega = chart.omega
-    probe = None
     for key, val in form.terms.items():
         ref = omega.terms.get(key)
-        if ref is None:
+        if ref is None or val.den != ref.den:
             return None
-        ratio = val / ref
-        if not ratio.is_constant():
-            return None
-        probe = ratio.constant_value()
-        break
-    if probe is None:
-        return None
-    if form == omega.scale(probe):
-        return probe
+        c = val.num.leading()[1] / ref.num.leading()[1]
+        return c if form == omega.scale(c) else None
     return None
 
 

@@ -151,6 +151,38 @@ def test_with_omega_shares_geometry(disk, disk_omega_nu):
     assert clone.connection is disk.connection
 
 
+_DISK = {
+    "dimension": 1,
+    "metric": [["2/(1 - z1*zb1)^2"]],
+    "inverse_metric": [["(1 - z1*zb1)^2/2"]],
+    "factor_base": ["1 - z1*zb1"],
+    "potential_gradient": ["i*zb1/(1 - z1*zb1)"],
+}
+# 1 + z1 is no base factor, so this value of 1 keeps it as a residual
+_UNREDUCED_ONE = "(1 + z1)/(1 + z1)"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("factor_base", ["z1 - z1^2*zb1"], "has a monomial factor"),
+    ("factor_base", ["1 - z1*zb1", "2*z1*zb1 - 2"], "repeats another entry"),
+    ("factor_base", ["1 - z1*zb1", "(1 - z1*zb1)*(1 + z1*zb1)"], "divides another entry"),
+    ("factor_base", [], "does not factor over the factor base"),
+    ("inverse_metric", [[f"(1 - z1*zb1)^2/2*{_UNREDUCED_ONE}"]], "does not factor"),
+    ("potential_gradient", [f"i*zb1/(1 - z1*zb1)*{_UNREDUCED_ONE}"], "does not factor"),
+    ("omega_series", [{"nu_power": 1, "form": {"dz1^dzb1": _UNREDUCED_ONE}}], "does not factor"),
+], ids=["monomial-factor", "repeat", "divides", "metric", "inverse-metric",
+        "potential-gradient", "omega-series"])
+def test_factor_base_invariants_are_hard_errors(field, value, message, capsys):
+    """Base entries have no monomial factor and neither repeat nor divide
+    one another; every denominator of the chart data factors over the base
+    and the coordinates, with no residual."""
+    doc = dict(_DISK, **{field: value})
+    with pytest.raises(ChartError, match=message):
+        load_chart(json.dumps(doc))
+    assert _describe(json.dumps(doc)) == 1
+    assert message in capsys.readouterr().err
+
+
 def _describe(doc_text):
     """Exit code of `describe` on a chart file holding `doc_text`."""
     with tempfile.TemporaryDirectory() as tmp:

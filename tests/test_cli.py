@@ -132,6 +132,38 @@ def test_geometry_karabegov(capsys):
     assert "nu^1" in out
 
 
+BALL2_OMEGA_NU = {
+    "name": "ball2_omega_nu",
+    "dimension": 2,
+    "metric": [
+        ["2*(1 - z2*zb2)/(1 - z1*zb1 - z2*zb2)^2", "2*zb1*z2/(1 - z1*zb1 - z2*zb2)^2"],
+        ["2*zb2*z1/(1 - z1*zb1 - z2*zb2)^2", "2*(1 - z1*zb1)/(1 - z1*zb1 - z2*zb2)^2"],
+    ],
+    "inverse_metric": [
+        ["(1 - z1*zb1 - z2*zb2)*(1 - z1*zb1)/2", "-(1 - z1*zb1 - z2*zb2)*z1*zb2/2"],
+        ["-(1 - z1*zb1 - z2*zb2)*z2*zb1/2", "(1 - z1*zb1 - z2*zb2)*(1 - z2*zb2)/2"],
+    ],
+    "factor_base": ["1 - z1*zb1 - z2*zb2"],
+    "potential_gradient": ["i*zb1/(1 - z1*zb1 - z2*zb2)", "i*zb2/(1 - z1*zb1 - z2*zb2)"],
+    "omega_series": [{"nu_power": 1, "form": "omega"}],
+}
+
+
+def test_geometry_karabegov_omega_multiple_outside_the_base(capsys, tmp_path):
+    """On the unit ball in C^2 the numerators of omega's components, such as
+    1 - z2*zb2, lie outside the factor base; the series nu * omega is still
+    recognized as a multiple of omega and integrated through the potential
+    gradient, as on the disk."""
+    path = tmp_path / "ball2_omega_nu.json"
+    path.write_text(json.dumps(BALL2_OMEGA_NU))
+    code, out, err = run(capsys, "geometry", "--chart", str(path), "--show", "karabegov",
+                         "--product", "wick", "--order", "1")
+    assert (code, err) == (0, "")
+    # K(star) = omega + nu * omega: both brackets print omega
+    zeroth, first = out.strip().split(" + nu^1 * ")
+    assert zeroth == "K(star) = nu^0 * " + first
+
+
 def test_describe(capsys):
     code, out, _ = run(capsys, "describe", "--chart", "disk")
     assert code == 0

@@ -434,3 +434,136 @@ def test_power_with_rational_and_imaginary_coefficients():
         re, im = i_powers[q % 4]
         assert coeff == GaussianRational(re * magnitude, im * magnitude)
     assert max(c.d for c in power.num.terms.values()) > 2 ** 64
+
+
+# -- factored denominators ---------------------------------------------------------
+
+BALL_FACTOR = parse("1 - z1*zb1 - z2*zb2", 2).num
+# (dimension, base, non-base residual factors)
+FACTORED_BASES = {
+    "disk": (1, (DISK_FACTOR,), ("z1 + 2", "zb1 - 3*i")),
+    "cp1": (1, (CP1_FACTOR,), ("z1 + 2", "2*z1*zb1 + 1")),
+    "ball2": (2, (BALL_FACTOR,), ("z2 + 1", "z1*zb2 - 2")),
+}
+
+
+def _monomial(nvars, exps):
+    return ChartPolynomial(nvars, {tuple(exps): GaussianRational(1)})
+
+
+@st.composite
+def factored_values(draw, n, base, residuals, unit=False):
+    """num / (R * x^m * prod b^e) from the constructor, for a random
+    polynomial num (a constant times x^k * prod b^f when `unit`) and R = 1
+    or a non-base polynomial from `residuals`; returns (value, num, den)."""
+    nvars = 2 * n
+    if unit:
+        num = ChartPolynomial.constant(nvars, draw(gaussian_rationals().filter(bool)))
+        num = num * _monomial(nvars, [draw(st.integers(0, 2)) for _ in range(nvars)])
+        for b in base:
+            num = num * b ** draw(st.integers(0, 2))
+    else:
+        num = draw(polynomials(n)).num
+    den = _monomial(nvars, [draw(st.integers(0, 2)) for _ in range(nvars)])
+    for b in base:
+        den = den * b ** draw(st.integers(0, 3))
+    if draw(st.booleans()) and not unit:
+        den = den * parse(draw(st.sampled_from(residuals)), n).num
+    den = den.scale(draw(gaussian_rationals().filter(bool)))
+    return ChartExpr(num, den, base), num, den
+
+
+@st.composite
+def factored_cases(draw, unit_b=False):
+    n, base, residuals = FACTORED_BASES[draw(st.sampled_from(sorted(FACTORED_BASES)))]
+    values = factored_values(n, base, residuals)
+    return (n, base, draw(values), draw(factored_values(n, base, residuals, unit_b)), draw(values))
+
+
+@given(factored_cases())
+def test_factored_value_matches_its_pieces(case):
+    """The constructor keeps the value, and the expanded denominator has
+    leading coefficient 1 and is a product over the base when R = 1."""
+    _, base, (a, num, den), _, _ = case
+    assert a.num * den == num * a.den
+    assert a.den.leading()[1] == GaussianRational(1)
+    if a.is_factored():
+        rest = a.den
+        for b in base:
+            while not rest.is_constant() and rest.exact_div(b) is not None:
+                rest = rest.exact_div(b)
+        assert len(rest.terms) == 1
+
+
+@given(factored_cases(unit_b=True))
+def test_cancelling_an_operand_gives_back_the_same_bytes(case):
+    _, _, (a, _, _), (u, _, _), (b, _, _) = case
+    for x in ((a * u) / u, (a / u) * u, (a + b) - b, (a - b) + b):
+        assert x == a
+        if a.is_factored() and b.is_factored():
+            assert x.serialize() == a.serialize()
+
+
+@given(factored_cases(), st.integers(0, 3))
+def test_derivative_agrees_with_the_quotient_rule(case, var):
+    """d(N/D) = (N' D - N D') / D^2, checked by cross-multiplication on the
+    expanded polynomials."""
+    n, _, (a, num, den), _, _ = case
+    var %= 2 * n
+    d = a.differentiate(var)
+    want_num = num.derivative(var) * den - num * den.derivative(var)
+    assert d.num * (den * den) == want_num * d.den
+    # and the result is reduced: re-reducing it changes nothing
+    assert ChartExpr(d.num, d.den, d.base).serialize() == d.serialize()
+
+
+@given(factored_cases(), st.integers(0, 3))
+def test_equal_factored_values_serialize_equally(case, var):
+    n, base, (a, num, den), (u, _, _), (c, _, _) = case
+    var %= 2 * n
+    nvars = 2 * n
+    # the same value with a common factor put into numerator and denominator
+    spread = _monomial(nvars, [1] + [0] * (nvars - 1)) * base[0]
+    pairs = [
+        (ChartExpr(num * spread, den * spread, base), a),
+        (a * (u + c), a * u + a * c),
+        ((a * u).differentiate(var), a.differentiate(var) * u + a * u.differentiate(var)),
+        (parse(a.serialize(), n, base), a),
+        (a.conjugate().conjugate(), a),
+    ]
+    for x, y in pairs:
+        assert x == y
+        if x.is_factored() and y.is_factored():
+            assert x.serialize() == y.serialize()
+
+
+def _expr_table_size():
+    """Entries of the module-level tables of wickstar.expr, counting the
+    stored powers of each factor-base entry."""
+    from wickstar import expr as expr_module
+
+    size = 0
+    for table in vars(expr_module).values():
+        if isinstance(table, dict):
+            size += len(table)
+            size += sum(len(v.powers) for v in table.values() if hasattr(v, "powers"))
+    return size
+
+
+def test_module_tables_stay_bounded_over_star_requests(disk, cp1):
+    """A long-lived process keeps no per-value table: 10 more distinct star
+    requests (new arguments, same charts and order) add no entry."""
+    from wickstar.fedosov import FedosovData, star
+
+    data = [FedosovData("wick", disk, K=6), FedosovData("wick", cp1, K=6)]
+    requests = [(f"z1^{i % 3 + 1} + {i}*zb1", f"zb1^{i % 2 + 1} - {i}*i*z1") for i in range(20)]
+
+    def run(batch):
+        for k, (f, g) in enumerate(batch):
+            d = data[k % 2]
+            star(d, parse(f, 1, d.chart.factor_base), parse(g, 1, d.chart.factor_base), 2)
+
+    run(requests[:10])
+    after_ten = _expr_table_size()
+    run(requests[10:])
+    assert _expr_table_size() == after_ten
