@@ -130,8 +130,11 @@ class FedosovData:
     """Product kind, chart, input data and the computed connection element.
 
     Immutable after construction apart from `tau_cache`, a memo table from
-    serialized functions to their Taylor series; concurrent duplicate
-    recomputation of a cache entry is harmless because entries are value
+    serialized functions to a pair (parts, views): the tuple of homogeneous
+    parts of tau(f) computed so far, of degree 0..len(parts)-1, and a dict
+    from each requested degree to the series cut there.  A request for a
+    higher degree extends the parts and stores a longer tuple; concurrent
+    duplicate recomputation is harmless because entries are value
     determined.
     """
 
@@ -292,47 +295,73 @@ def fedosov_D(data, a):
     return out
 
 
-def tau(data, f):
-    """The unique D-flat element with scalar part f, by the degree recursion."""
+def _cut_degree(data, degree):
+    """The total degree a Taylor series is computed to: `degree`, by default
+    the truncation K, above which r is not known."""
+    if degree is None:
+        return data.K
+    if not 0 <= degree <= data.K:
+        raise FedosovError(f"tau degree {degree} is outside 0..{data.K}")
+    return degree
+
+
+def tau(data, f, degree=None):
+    """The unique D-flat element with scalar part f, by the degree recursion,
+    up to total degree `degree` (default: the truncation K).
+
+    The part of degree k+1 is built from the parts of degree <= k alone
+    (nabla keeps the degree, (1/nu) ad(r) with deg r >= 2 does not lower it,
+    delta_inv raises it by one), so the series cut at `degree` is exact up
+    to that degree.  The parts are cached per function and a request for a
+    higher degree resumes the recursion from the last one."""
+    K = data.K
+    degree = _cut_degree(data, degree)
     key = f.serialize()
-    hit = data.tau_cache.get(key)
+    entry = data.tau_cache.get(key)
+    if entry is None:
+        entry = ((WeylElement.scalar(f, truncation=K),), {})
+        data.tau_cache[key] = entry
+    parts, views = entry
+    hit = views.get(degree)
     if hit is not None:
         return hit
-    chart, conn, kind, K = data.chart, data.conn, data.kind, data.K
-    n = chart.n
-    parts = {0: WeylElement.scalar(f, truncation=K)}
-    total = parts[0]
-    for k in range(K):
-        cur = parts.get(k)
-        if cur is None or cur.is_zero():
-            bracket = WeylElement.zero(n, K)
-        else:
-            bracket = weyl.nabla(cur, chart, conn)
-        for l in range(k):
-            rp = data.r_parts.get(l + 2)
-            tp = parts.get(k - l)
-            if rp is None or tp is None or tp.is_zero():
-                continue
-            bracket = bracket - weyl.ad_over_nu(rp, tp, kind, chart, None)
-        comp = weyl.delta_inv(bracket).truncate(K)
-        if not comp.is_zero():
-            parts[k + 1] = comp
-            total = total + comp
-    data.tau_cache[key] = total
-    return total
+    if len(parts) <= degree:
+        chart, conn, kind = data.chart, data.conn, data.kind
+        parts = list(parts)
+        for k in range(len(parts) - 1, degree):
+            bracket = weyl.nabla(parts[k], chart, conn)
+            for l in range(k):
+                rp = data.r_parts.get(l + 2)
+                tp = parts[k - l]
+                if rp is None or tp.is_zero():
+                    continue
+                bracket = bracket - weyl.ad_over_nu(rp, tp, kind, chart, None)
+            parts.append(weyl.delta_inv(bracket).truncate(K))
+        data.tau_cache[key] = (tuple(parts), views)
+    terms = {}
+    for part in parts[: degree + 1]:
+        terms.update(part.terms)
+    return views.setdefault(degree, WeylElement(data.chart.n, terms, degree))
 
 
 # -- the star product ------------------------------------------------------------------
 
 
-def star(data, f, g, N):
-    """f * g = sigma(tau(f) . tau(g)) as a series up to order N."""
+def _require_order(data, N):
+    """A series up to nu^N reads Taylor series to total degree 2N; the
+    recursions behind them read r, and h in ad(h), up to degree 2N + 2."""
     if data.K < 2 * N + 2:
         raise FedosovError(
             f"truncation {data.K} is insufficient for order {N}; need K >= {2 * N + 2}"
         )
-    tf = tau(data, f)
-    tg = tau(data, g)
+
+
+def star(data, f, g, N):
+    """f * g = sigma(tau(f) . tau(g)) as a series up to order N."""
+    _require_order(data, N)
+    # sigma reads the terms of total degree <= 2N of either factor
+    tf = tau(data, f, 2 * N)
+    tg = tau(data, g, 2 * N)
     scal = weyl.sigma_circ(tf, tg, data.kind, data.chart, max_nu=N)
     return weyl.to_nu_series(scal, N)
 
@@ -562,26 +591,28 @@ def has_wick_shape(data):
     return weyl.project(data.r, "pi_z").is_zero() and weyl.project(data.r, "pi_zbar").is_zero()
 
 
-def _projected_tau(data, f, hol):
+def _projected_tau(data, f, hol, degree=None):
     """pi_z tau(f) (hol) or pi_zbar tau(f) by the reduced recursion, which
-    needs the same projection of r to vanish."""
+    needs the same projection of r to vanish; exact up to total degree
+    `degree` (default: the truncation), as for tau."""
     selector = "pi_z" if hol else "pi_zbar"
     if not weyl.project(data.r, selector).is_zero():
         raise FedosovError(f"reduced recursion requires {selector} r = 0")
-    chart, conn, kind, K = data.chart, data.conn, data.kind, data.K
-    f0 = WeylElement.scalar(f, truncation=K)
+    top = _cut_degree(data, degree)
+    chart, conn, kind = data.chart, data.conn, data.kind
+    f0 = WeylElement.scalar(f, truncation=top)
     nabla_half = weyl.nabla_z if hol else weyl.nabla_zbar
     delta_half_inv = weyl.delta_z_inv if hol else weyl.delta_zbar_inv
 
     def step(a):
         left, right = (a, data.r) if hol else (data.r, a)
-        prod = weyl.circ(left, right, kind, chart, trunc=K + 1)
-        over = weyl.project(prod, selector).div_nu(1).truncate(K - 1)
-        half = nabla_half(a, chart, conn).truncate(K - 1)
+        prod = weyl.circ(left, right, kind, chart, trunc=top + 1)
+        over = weyl.project(prod, selector).div_nu(1).truncate(top - 1)
+        half = nabla_half(a, chart, conn).truncate(top - 1)
         inner = half + over if hol else half - over
-        return (f0 + delta_half_inv(inner.with_truncation(None))).truncate(K)
+        return (f0 + delta_half_inv(inner.with_truncation(None))).truncate(top)
 
-    return fixed_point(step, f0, K)
+    return fixed_point(step, f0, top)
 
 
 def pi_z_tau_fast(data, f):
@@ -596,8 +627,9 @@ def pi_zbar_tau_fast(data, f):
 
 def star_via_projections(data, f, g, N):
     """f * g recomputed as sigma((pi_z tau f) . (pi_zbar tau g))."""
-    tf = pi_z_tau_fast(data, f)
-    tg = pi_zbar_tau_fast(data, g)
+    _require_order(data, N)
+    tf = _projected_tau(data, f, True, 2 * N)
+    tg = _projected_tau(data, g, False, 2 * N)
     scal = weyl.sigma_circ(tf, tg, data.kind, data.chart, max_nu=N)
     return weyl.to_nu_series(scal, N)
 
@@ -640,8 +672,13 @@ def _bernoulli_series_apply(data, h, y, out_trunc):
 
 
 def _exp_ad_sigma(data, h, x, N, sign=1):
-    """sigma(exp(+-(1/nu) ad(h)) x) as a series up to order N."""
-    out_trunc = min(x.truncation if x.truncation is not None else data.K, data.K) - 1
+    """sigma(exp(+-(1/nu) ad(h)) x) as a series up to order N.
+
+    The nu^N coefficient has total degree 2N, and (1/nu) ad(h) with
+    deg h >= 2 never lowers the degree, so only the terms of x of degree
+    <= 2N are read."""
+    _require_order(data, N)
+    out_trunc = 2 * N
     total = weyl.sigma(x.truncate(out_trunc))
     term = x
     j = 0
@@ -676,12 +713,12 @@ class EquivalenceTransform:
     def apply(self, f, N):
         if isinstance(f, NuSeries):
             return _extend_over_series(self.apply, f, N)
-        return _exp_ad_sigma(self.data, self.h, tau(self.data, f), N, sign=1)
+        return _exp_ad_sigma(self.data, self.h, tau(self.data, f, 2 * N), N, sign=1)
 
     def apply_inverse(self, f, N):
         if isinstance(f, NuSeries):
             return _extend_over_series(self.apply_inverse, f, N)
-        return _exp_ad_sigma(self.data, self.h, tau(self.data_prime, f), N, sign=-1)
+        return _exp_ad_sigma(self.data, self.h, tau(self.data_prime, f, 2 * N), N, sign=-1)
 
 
 def equivalence_A_h(data, data_prime, C, N, samples=None):

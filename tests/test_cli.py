@@ -268,6 +268,20 @@ def test_karabegov_at_order_0(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("product", ("wick", "antiwick"))
+@pytest.mark.parametrize("chart", ("c1_flat", "disk"))
+def test_verify_fedosov_and_equivalence_at_order_0(capsys, chart, product):
+    """Both suites read products or one-forms beyond K = 2 and raise their
+    own truncation to 4."""
+    for suite, check in (("fedosov", "first-order commutator is the poisson bracket"),
+                         ("equivalence", "renormalization shifts r by the central one-form")):
+        code, out, err = run(capsys, "verify", "--chart", chart, "--product", product,
+                             "--suite", suite, "--order", "0")
+        assert err == ""
+        assert code == 0
+        assert f"[PASS] {check}" in out
+
+
 # -- fuzzing: every command line ends with exit 0 or 1, never 2 or a traceback --
 
 TOKENS = ("z1", "zb1", "z2", "zb2", "z3", "i", "0", "1", "2", "3/4", "x", "", "zb")

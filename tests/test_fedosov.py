@@ -5,18 +5,21 @@ from fractions import Fraction
 import pytest
 
 from wickstar import weyl
-from wickstar.chart import FormSeries, TwoForm
+from wickstar.chart import FormSeries, OneForm, TwoForm
 from wickstar.expr import ChartExpr, GaussianRational, parse
 from wickstar.fedosov import (
     ContractViolation,
     FedosovData,
     FedosovError,
+    _projected_tau,
     closed_form_flat,
     compute_r_via_fixed_point,
+    equivalence_A_h,
     fedosov_D,
     fixed_point,
     star,
     star_series,
+    star_via_projections,
     tau,
 )
 from wickstar.sampling import Lcg, random_polynomial
@@ -191,6 +194,127 @@ def test_tau_cache_hit_for_equal_value_built_differently(disk, d_disk):
     size = len(d_disk.tau_cache)
     assert tau(d_disk, g) is tf
     assert len(d_disk.tau_cache) == size
+
+
+# -- the Taylor series cut at a total degree ------------------------------------
+
+DEGREE_CHARTS = ("disk", "cp1_omega_nu", "c2_flat_omega20")
+DEGREE_K = 8
+
+
+def _degree_data(request, name, kind):
+    chart = request.getfixturevalue(name)
+    if chart.n == 1:
+        f = parse("z1^2*zb1 + i*zb1 - 3", 1, chart.factor_base)
+    else:
+        f = parse("z1^2*zb2 + zb1^2*z2^2 - i*z2", 2, chart.factor_base)
+    return FedosovData(kind, chart, K=DEGREE_K), f
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", DEGREE_CHARTS)
+def test_tau_cut_is_the_truncated_series(request, name, kind):
+    data, f = _degree_data(request, name, kind)
+    full = tau(data, f)
+    for k in range(DEGREE_K + 1):
+        cut = tau(data, f, k)
+        assert cut == full.truncate(k)
+        assert cut.truncation == k
+        assert tau(data, f, k) is cut
+    assert tau(data, f, DEGREE_K) is full
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", DEGREE_CHARTS)
+def test_tau_cut_independent_of_request_order(request, name, kind):
+    data, f = _degree_data(request, name, kind)
+    full_first = tau(data, f)
+    low_after = tau(data, f, 3)
+    data.tau_cache.clear()
+    low_first = tau(data, f, 3)
+    (parts, _), = data.tau_cache.values()
+    assert len(parts) == 4
+    full_after = tau(data, f)
+    (parts, _), = data.tau_cache.values()
+    assert len(parts) == DEGREE_K + 1
+    assert low_first == low_after
+    assert full_first == full_after
+    assert fedosov_D(data, low_first).is_zero()
+
+
+def test_degree_outside_the_truncation_rejected(d_disk, p1):
+    z, zb = p1("z1"), p1("zb1")
+    with pytest.raises(FedosovError):
+        tau(d_disk, z, d_disk.K + 1)
+    with pytest.raises(FedosovError):
+        tau(d_disk, z, -1)
+    N = d_disk.K // 2
+    with pytest.raises(FedosovError):
+        star_via_projections(d_disk, z, zb, N)
+    transform = equivalence_A_h(d_disk, d_disk, FormSeries.zero(1), 1)
+    with pytest.raises(FedosovError):
+        transform.apply(z, N)
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", DEGREE_CHARTS)
+def test_projected_tau_cut_at_twice_the_order(request, name, kind):
+    data, f = _degree_data(request, name, kind)
+    N = (DEGREE_K - 2) // 2
+    for hol, selector in ((True, "pi_z"), (False, "pi_zbar")):
+        if not weyl.project(data.r, selector).is_zero():
+            with pytest.raises(FedosovError):
+                _projected_tau(data, f, hol, 2 * N)
+            continue
+        full = _projected_tau(data, f, hol)
+        assert _projected_tau(data, f, hol, 2 * N) == full.truncate(2 * N)
+        if kind == "wick":
+            assert full == weyl.project(tau(data, f), selector)
+
+
+def _exp_ad_sigma_full(data, h, f, N, sign):
+    """sigma(exp(+-(1/nu) ad(h)) tau(f)) from the full series, every degree
+    up to K - 1 carried along."""
+    x = tau(data, f)
+    out_trunc = data.K - 1
+    total = weyl.sigma(x.truncate(out_trunc))
+    term, j = x, 0
+    while not term.is_zero():
+        j += 1
+        term = weyl.ad_over_nu(h, term, data.kind, data.chart, out_trunc).scale(
+            GaussianRational(Fraction(sign, j)))
+        total = total + weyl.sigma(term)
+    return weyl.to_nu_series(total, N)
+
+
+def _check_transform_against_full(transform, fs, N):
+    for f in fs:
+        assert transform.apply(f, N) == _exp_ad_sigma_full(
+            transform.data, transform.h, f, N, 1)
+        assert transform.apply_inverse(f, N) == _exp_ad_sigma_full(
+            transform.data_prime, transform.h, f, N, -1)
+
+
+def test_equivalence_apply_cut_between_forms(c1_flat, p1):
+    d0 = FedosovData("wick", c1_flat, K=6)
+    omega_p = FormSeries(1, [(1, TwoForm(1, hm={(0, 0): ChartExpr.one(1)}))])
+    d1 = FedosovData("wick", c1_flat, K=6, omega=omega_p)
+    C = FormSeries(1, [(1, OneForm(1, hol={0: p1("zb1")}))])
+    transform = equivalence_A_h(d0, d1, C, 2)
+    assert not transform.h.is_zero()
+    _check_transform_against_full(
+        transform, [p1("z1"), p1("zb1"), p1("z1^2*zb1 + 2*zb1^2")], 2)
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+def test_equivalence_apply_cut_on_curved_chart(disk, kind):
+    data = FedosovData(kind, disk, K=4)
+    mixed = WeylElement.from_terms(1, [(0, (2, 1), 0, ChartExpr.one(1))], 4)
+    data_s = FedosovData(kind, disk, K=4, s=mixed)
+    transform = equivalence_A_h(data, data_s, FormSeries.zero(1), 1)
+    assert not transform.h.is_zero()
+    _check_transform_against_full(
+        transform, [parse(t, 1, disk.factor_base) for t in ("z1", "zb1", "z1*zb1^2")], 1)
 
 
 # -- the star product -----------------------------------------------------------
