@@ -22,7 +22,6 @@ from .expr import (
     GaussianRational,
     ParseError,
     parse,
-    reduce,
 )
 from .fedosov import (
     ContractViolation,

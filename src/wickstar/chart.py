@@ -550,16 +550,13 @@ def _is_integer(value):
 
 
 def _parse_text(text, n, base, what):
-    """A chart expression; its denominator must factor over the base and
-    the coordinates, so that values computed from the chart data have a
-    unique reduced form."""
+    """A chart expression over the factor base; the parser refuses a
+    denominator that does not factor over the base and the coordinates."""
     text = _expect(text, str, what)
-    expr = parse(text, n, base)
-    if not expr.is_factored():
-        raise ChartError(
-            f"{what} {text!r} has a denominator that does not factor over the factor base"
-        )
-    return expr
+    try:
+        return parse(text, n, base)
+    except ExprError as exc:
+        raise ChartError(f"bad expression in chart document: {what} {text!r}: {exc}") from exc
 
 
 def _parse_form_component_key(key, n):
@@ -590,7 +587,7 @@ def _parse_two_form(doc, n, base, omega=None):
         if text == "omega":
             scalar = GaussianRational(1)
         elif text.endswith("*omega"):
-            scalar_expr = parse(text[: -len("*omega")].rstrip(" *"), n)
+            scalar_expr = _parse_text(text[: -len("*omega")].rstrip(" *"), n, base, "omega scale")
             if not scalar_expr.is_constant():
                 raise ChartError("omega may only be scaled by constants")
             scalar = scalar_expr.constant_value()
@@ -650,7 +647,7 @@ def load_chart(source):
 
     base = []
     for text in _expect(doc.get("factor_base", []), list, "`factor_base`"):
-        poly_expr = parse(_expect(text, str, "factor base entries"), n)
+        poly_expr = _parse_text(text, n, (), "factor base entries")
         if not poly_expr.is_polynomial():
             raise ChartError(f"factor base entry {text!r} is not a polynomial")
         poly = poly_expr.num
@@ -679,11 +676,8 @@ def load_chart(source):
             out.append([_parse_text(t, n, base, what) for t in row])
         return out
 
-    try:
-        metric = load_matrix("metric")
-        inverse = load_matrix("inverse_metric")
-    except ExprError as exc:
-        raise ChartError(f"bad expression in chart document: {exc}") from exc
+    metric = load_matrix("metric")
+    inverse = load_matrix("inverse_metric")
 
     gradient = None
     if doc.get("potential_gradient") is not None:

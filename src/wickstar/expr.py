@@ -9,11 +9,13 @@ Internally a variable is an index 0..2n-1: indices 0..n-1 are the
 holomorphic coordinates z1..zn, indices n..2n-1 the antiholomorphic
 coordinates zb1..zbn.
 
-There is deliberately no general multivariate gcd.  A denominator is kept
+There is deliberately no general multivariate gcd.  A denominator is held
 factored over the coordinates and a declared factor base (supplied per
 chart), so simplification is exponent arithmetic plus trial division of the
-numerator by those factors.  That keeps the expressions of the Fedosov
-recursion small on the bundled charts and makes their form canonical.
+numerator by those factors.  A value whose reduced denominator has any other
+factor is refused with an ExprError: the factor belongs in the chart's
+`factor_base`.  That keeps the expressions of the Fedosov recursion small on
+the bundled charts and makes their form canonical.
 """
 
 from __future__ import annotations
@@ -569,24 +571,17 @@ def factor_base(polys):
     return hit
 
 
-def _new(num, mono, exps, res, base):
+def _new(num, mono, exps, base):
     out = object.__new__(ChartExpr)
     out.num = num
     out._mono = mono
     out._exps = exps
-    out._res = res
     out.base = base
     return out
 
 
 def _zero(nvars, base):
-    return _new(ChartPolynomial(nvars), (0,) * nvars, base.zeros, None, base)
-
-
-def _times_res(r1, r2):
-    if r1 is None:
-        return r2
-    return r1 if r2 is None else r1 * r2
+    return _new(ChartPolynomial(nvars), (0,) * nvars, base.zeros, base)
 
 
 def _added(t1, t2):
@@ -623,29 +618,29 @@ def _cancel(num, mono, exps, factors, most_mono, most_exps):
 class ChartExpr:
     """Rational function num/den in the chart coordinates.
 
-    The denominator is held factored, as R * x^m * prod_i b_i^(e_i): m is
-    the exponent tuple of a coordinate monomial, e is aligned with the
-    factor base `base` (each b_i taken monic), and the residual R is 1 or a
-    monic polynomial with no monomial and no base factor.  The numerator
-    shares no coordinate and no base factor with the denominator.  `den`
-    expands the product on each read, with leading coefficient 1.
+    The denominator is held factored, as x^m * prod_i b_i^(e_i): m is the
+    exponent tuple of a coordinate monomial and e is aligned with the
+    factor base `base` (each b_i taken monic).  The numerator shares no
+    coordinate and no base factor with the denominator.  `den` expands the
+    product on each read, with leading coefficient 1.
 
-    When R is 1, as for every value on the bundled charts, this form is
-    unique, so equality is structural and equal values serialize to equal
-    bytes.  Values with R != 1 (a denominator the base does not cover) are
-    compared by cross-multiplication.  Zero is stored as 0/1.
+    This form is unique, so equality is structural and equal values
+    serialize to equal bytes.  A value whose reduced denominator does not
+    factor over the base and the coordinates cannot be built: the
+    constructor raises ExprError.  Zero is stored as 0/1.
     """
 
-    __slots__ = ("num", "_mono", "_exps", "_res", "base")
+    __slots__ = ("num", "_mono", "_exps", "base")
 
     def __init__(self, num, den=None, base=()):
         base = factor_base(base)
-        mono, exps, res = (0,) * num.nvars, base.zeros, None
+        mono, exps = (0,) * num.nvars, base.zeros
         if den is not None and den.is_zero():
             raise ExprDivisionError("zero denominator")
         if den is not None and not num.is_zero():
-            # split den into a monomial, powers of the base factors and a
-            # monic residual, then divide num by what it shares with them
+            # split den into a monomial and powers of the base factors; what
+            # is left must divide num, then num is divided by what it shares
+            # with the factored part
             mono = _monomial_content(den)
             if any(mono):
                 den = _shifted(den, tuple(-m for m in mono))
@@ -662,12 +657,18 @@ class ChartExpr:
             exps = tuple(exps)
             if den.is_constant():
                 lead = den.constant_value()
+                if lead != GR_ONE:
+                    num = num.scale(lead.inverse())
             else:
-                res, lead = _monic(den)
-            if lead != GR_ONE:
-                num = num.scale(lead.inverse())
+                q = num.exact_div(den)
+                if q is None:
+                    raise ExprError(
+                        f"denominator part {_monic(den)[0].render()!r} does not factor over the "
+                        "factor base; declare its factors in the chart's factor_base"
+                    )
+                num = q
             num, mono, exps = _cancel(num, mono, exps, base.factors, mono, exps)
-        self.num, self._mono, self._exps, self._res, self.base = num, mono, exps, res, base
+        self.num, self._mono, self._exps, self.base = num, mono, exps, base
 
     # -- constructors ------------------------------------------------------
 
@@ -716,18 +717,13 @@ class ChartExpr:
             out = ChartPolynomial(self.num.nvars, {self._mono: GR_ONE})
         elif any(self._mono):
             out = _shifted(out, self._mono)
-        return out if self._res is None else out * self._res
+        return out
 
     def is_zero(self):
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self._res is None and not any(self._mono) and not any(self._exps)
-
-    def is_factored(self):
-        """True when the denominator is a coordinate monomial times powers
-        of base factors, with no residual."""
-        return self._res is None
+        return not any(self._mono) and not any(self._exps)
 
     def is_constant(self):
         return self.num.is_constant() and self.is_polynomial()
@@ -744,12 +740,12 @@ class ChartExpr:
         """This value reduced over the interned base `base`."""
         if self.base is base:
             return self
-        if self._res is None and all(b in base for b, e in zip(self.base, self._exps) if e):
+        if all(b in base for b, e in zip(self.base, self._exps) if e):
             exps = list(base.zeros)
             for b, e in zip(self.base, self._exps):
                 if e:
                     exps[base.index(b)] = e
-            return _new(self.num, self._mono, tuple(exps), None, base)
+            return _new(self.num, self._mono, tuple(exps), base)
         return ChartExpr(self.num, self.den, base)
 
     def _join_base(self, other):
@@ -769,11 +765,9 @@ class ChartExpr:
             return a
         if a.num.is_zero():
             return -b if subtract else b
-        ra, rb = a._res, b._res
-        if a._mono == b._mono and a._exps == b._exps and (ra is rb or (
-                ra is not None and rb is not None and ra == rb)):
+        if a._mono == b._mono and a._exps == b._exps:
             num = a.num - b.num if subtract else a.num + b.num
-            mono, exps, res = a._mono, a._exps, ra
+            mono, exps = a._mono, a._exps
             most_mono, most_exps = mono, exps
         else:
             # over the lcm of the factored parts, each side times its cofactor;
@@ -781,27 +775,26 @@ class ChartExpr:
             # lacks, so only equal exponents can cancel
             mono = tuple(map(max, a._mono, b._mono))
             exps = tuple(map(max, a._exps, b._exps))
-            na = a._cofactor(mono, exps, rb)
-            nb = b._cofactor(mono, exps, ra)
+            na = a._cofactor(mono, exps)
+            nb = b._cofactor(mono, exps)
             num = na - nb if subtract else na + nb
-            res = _times_res(ra, rb)
             most_mono = tuple(x if x == y else 0 for x, y in zip(a._mono, b._mono))
             most_exps = tuple(x if x == y else 0 for x, y in zip(a._exps, b._exps))
         if num.is_zero():
             return _zero(num.nvars, base)
         num, mono, exps = _cancel(num, mono, exps, base.factors, most_mono, most_exps)
-        return _new(num, mono, exps, res, base)
+        return _new(num, mono, exps, base)
 
-    def _cofactor(self, mono, exps, res):
-        """The numerator over the denominator res * x^mono * prod b_i^exps_i,
-        a multiple of this value's own."""
+    def _cofactor(self, mono, exps):
+        """The numerator over the denominator x^mono * prod b_i^exps_i, a
+        multiple of this value's own."""
         num = self.num
         if mono != self._mono:
             num = _shifted(num, tuple(map(operator.sub, mono, self._mono)))
         for fac, e, own in zip(self.base.factors, exps, self._exps):
             if e != own:
                 num = num * fac.power(e - own)
-        return num if res is None else num * res
+        return num
 
     def __add__(self, other):
         return self._combine(other, subtract=False)
@@ -817,7 +810,7 @@ class ChartExpr:
         keeps the value reduced."""
         if new_num.is_zero():
             return _zero(new_num.nvars, self.base)
-        return _new(new_num, self._mono, self._exps, self._res, self.base)
+        return _new(new_num, self._mono, self._exps, self.base)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -835,7 +828,7 @@ class ChartExpr:
         factors = base.factors
         n1, m2, e2 = _cancel(a.num, b._mono, b._exps, factors, b._mono, b._exps)
         n2, m1, e1 = _cancel(b.num, a._mono, a._exps, factors, a._mono, a._exps)
-        return _new(n1 * n2, _added(m1, m2), _added(e1, e2), _times_res(a._res, b._res), base)
+        return _new(n1 * n2, _added(m1, m2), _added(e1, e2), base)
 
     def scale(self, value):
         value = GaussianRational.coerce(value)
@@ -851,7 +844,12 @@ class ChartExpr:
             return self.scale(value.inverse())
         if other.is_zero():
             raise ExprDivisionError("division by zero expression")
-        return self._times(ChartExpr(other.den, other.num, other.base))
+        base = self._join_base(other)
+        a = self._over(base)
+        # the divisor's numerator goes through the constructor, which splits
+        # it over the base or refuses it; a's denominator is factored already
+        top = ChartExpr(a.num * other.den, other.num, base)
+        return top._times(_new(ChartPolynomial.one(a.nvars), a._mono, a._exps, base))
 
     def __pow__(self, k):
         if k < 0:
@@ -865,11 +863,9 @@ class ChartExpr:
     def __eq__(self, other):
         if not isinstance(other, ChartExpr):
             return NotImplemented
-        if self._res is None and other._res is None:
-            base = self._join_base(other)
-            a, b = self._over(base), other._over(base)
-            return a._mono == b._mono and a._exps == b._exps and a.num == b.num
-        return self.num * other.den == other.num * self.den
+        base = self._join_base(other)
+        a, b = self._over(base), other._over(base)
+        return a._mono == b._mono and a._exps == b._exps and a.num == b.num
 
     def __hash__(self):
         raise TypeError("ChartExpr is not hashable; use serialize() for keying")
@@ -881,12 +877,6 @@ class ChartExpr:
             raise ExprError(f"coordinate index {index} out of range")
         num, mono, exps, base = self.num, self._mono, self._exps, self.base
         dnum = num.derivative(index)
-        if self._res is not None:
-            den = self.den
-            dden = den.derivative(index)
-            if dden.is_zero():
-                return ChartExpr(dnum, den, base)
-            return ChartExpr(dnum * den - num * dden, den * den, base)
         factors = base.factors
         # the factors of the denominator D that involve x_index, with their
         # derivatives times their exponents
@@ -901,7 +891,7 @@ class ChartExpr:
             if dnum.is_zero():
                 return _zero(self.nvars, base)
             dnum, mono, exps = _cancel(dnum, mono, exps, factors, mono, exps)
-            return _new(dnum, mono, exps, None, base)
+            return _new(dnum, mono, exps, base)
         # logarithmic derivative: with P the product of the parts p and
         # D'/D = sum c'/p, d(N/D) = (N' P - N sum c' P/p) / (D P).  N shares no
         # part with D and each p is prime to c' and to the other parts, so no
@@ -922,7 +912,7 @@ class ChartExpr:
         new, mono, exps = _cancel(new, mono, exps, factors, most_mono, most_exps)
         # the parts' exponents were left alone; each goes up by one
         mono = tuple(m + (j == index and m > 0) for j, m in enumerate(mono))
-        return _new(new, mono, tuple(map(operator.add, exps, involved)), None, base)
+        return _new(new, mono, tuple(map(operator.add, exps, involved)), base)
 
     def conjugate(self):
         return ChartExpr(self.num.conjugate(), self.den.conjugate(), self.base)
@@ -944,12 +934,6 @@ class ChartExpr:
 
     def __repr__(self):
         return f"<ChartExpr {self.pretty()}>"
-
-
-def reduce(expr, factor_base):
-    """Divide out the factors common to numerator and denominator over
-    `factor_base`, a sequence of non-constant polynomials.  Value-preserving."""
-    return expr.with_base(factor_base)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -1020,12 +1004,18 @@ def _integer(tok):
 
 
 class _Parser:
-    """Recursive-descent parser for the chart expression grammar."""
+    """Recursive-descent parser for the chart expression grammar.  Atoms
+    are built over the factor base, so every intermediate value is held
+    factored over it."""
 
-    def __init__(self, text, n):
+    def __init__(self, text, n, base):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
+        self.base = factor_base(base)
+
+    def leaf(self, poly):
+        return ChartExpr(poly, base=self.base)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1116,10 +1106,10 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return ChartExpr.constant(self.n, _integer(tok)), True
+            return self.leaf(ChartPolynomial.constant(2 * self.n, _integer(tok))), True
         if kind == "name":
             if text == "i":
-                return ChartExpr.constant(self.n, GR_I), True
+                return self.leaf(ChartPolynomial.constant(2 * self.n, GR_I)), True
             if text.startswith("zb"):
                 idx_text, offset = text[2:], self.n
             elif text.startswith("z"):
@@ -1133,7 +1123,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {text!r} out of range for dimension {self.n}", pos
                 )
-            return ChartExpr.variable(self.n, offset + index - 1), True
+            return self.leaf(ChartPolynomial.variable(2 * self.n, offset + index - 1)), True
         if kind == "(":
             inner = self.sum()
             self.expect(")")
@@ -1142,8 +1132,7 @@ class _Parser:
 
 
 def parse(text, n, base=()):
-    """Parse `text` into a canonical ChartExpr on an n-dimensional chart."""
-    expr = _Parser(text, n).parse()
-    if base:
-        expr = expr.with_base(base)
-    return expr
+    """Parse `text` into a canonical ChartExpr on an n-dimensional chart,
+    held over the factor base `base`.  Raises ExprError when a denominator
+    does not factor over the base and the coordinates."""
+    return _Parser(text, n, base).parse()

@@ -73,11 +73,11 @@ def test_christoffel_flat(c2_flat):
 
 
 def test_christoffel_disk(disk):
-    assert disk.connection.christoffel[0][0][0] == parse("2*zb1/(1 - z1*zb1)", 1)
+    assert disk.connection.christoffel[0][0][0] == parse("2*zb1/(1 - z1*zb1)", 1, disk.factor_base)
 
 
 def test_christoffel_cp1(cp1):
-    assert cp1.connection.christoffel[0][0][0] == parse("-2*zb1/(1 + z1*zb1)", 1)
+    assert cp1.connection.christoffel[0][0][0] == parse("-2*zb1/(1 + z1*zb1)", 1, cp1.factor_base)
 
 
 def test_curvature_flat(c1_flat):
@@ -88,7 +88,7 @@ def test_curvature_flat(c1_flat):
 
 def test_curvature_disk_value(disk):
     # the single lowered coefficient, pinned by nabla^2 = -(1/nu) ad(R)
-    assert disk.curvature_data.rho[(0, 0, 0, 0)] == parse("2*i/(1 - z1*zb1)^4", 1)
+    assert disk.curvature_data.rho[(0, 0, 0, 0)] == parse("2*i/(1 - z1*zb1)^4", 1, disk.factor_base)
 
 
 def test_curvature_bianchi_and_ricci(disk, cp1):
@@ -110,7 +110,7 @@ def test_omega_form_values(c1_flat, disk):
     flat_omega = omega_form(c1_flat)
     assert flat_omega[0b11] == parse("i/2", 1)
     disk_omega = omega_form(disk)
-    assert disk_omega[0b11] == parse("i/(1 - z1*zb1)^2", 1)
+    assert disk_omega[0b11] == parse("i/(1 - z1*zb1)^2", 1, disk.factor_base)
 
 
 def test_omega_closed_cp1(cp1):
@@ -158,8 +158,8 @@ _DISK = {
     "factor_base": ["1 - z1*zb1"],
     "potential_gradient": ["i*zb1/(1 - z1*zb1)"],
 }
-# 1 + z1 is no base factor, so this value of 1 keeps it as a residual
-_UNREDUCED_ONE = "(1 + z1)/(1 + z1)"
+# 1 + z1 is no base factor
+_OUT_OF_BASE = "1/(1 + z1)"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -167,9 +167,9 @@ _UNREDUCED_ONE = "(1 + z1)/(1 + z1)"
     ("factor_base", ["1 - z1*zb1", "2*z1*zb1 - 2"], "repeats another entry"),
     ("factor_base", ["1 - z1*zb1", "(1 - z1*zb1)*(1 + z1*zb1)"], "divides another entry"),
     ("factor_base", [], "does not factor over the factor base"),
-    ("inverse_metric", [[f"(1 - z1*zb1)^2/2*{_UNREDUCED_ONE}"]], "does not factor"),
-    ("potential_gradient", [f"i*zb1/(1 - z1*zb1)*{_UNREDUCED_ONE}"], "does not factor"),
-    ("omega_series", [{"nu_power": 1, "form": {"dz1^dzb1": _UNREDUCED_ONE}}], "does not factor"),
+    ("inverse_metric", [[f"(1 - z1*zb1)^2/2*{_OUT_OF_BASE}"]], "does not factor"),
+    ("potential_gradient", [f"i*zb1/(1 - z1*zb1)*{_OUT_OF_BASE}"], "does not factor"),
+    ("omega_series", [{"nu_power": 1, "form": {"dz1^dzb1": _OUT_OF_BASE}}], "does not factor"),
 ], ids=["monomial-factor", "repeat", "divides", "metric", "inverse-metric",
         "potential-gradient", "omega-series"])
 def test_factor_base_invariants_are_hard_errors(field, value, message, capsys):
@@ -181,6 +181,16 @@ def test_factor_base_invariants_are_hard_errors(field, value, message, capsys):
         load_chart(json.dumps(doc))
     assert _describe(json.dumps(doc)) == 1
     assert message in capsys.readouterr().err
+
+
+def test_a_factor_the_numerator_cancels_may_lie_outside_the_base(disk):
+    """(1 + z1)/(1 + z1) loads as 1: what the base does not cover divides
+    the numerator, so the value has a denominator over the base."""
+    doc = dict(_DISK, inverse_metric=[["(1 - z1*zb1)^2/2*(1 + z1)/(1 + z1)"]],
+               potential_gradient=["i*zb1*(1 + z1)/((1 - z1*zb1)*(1 + z1))"])
+    chart = load_chart(json.dumps(doc))
+    assert chart.inverse_metric[0][0].serialize() == disk.inverse_metric[0][0].serialize()
+    assert chart.potential_gradient[0].serialize() == disk.potential_gradient[0].serialize()
 
 
 def _describe(doc_text):

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,18 @@ def test_exponent_outside_cap_rejected(capsys):
     assert code == 1
     assert out == ""
     assert "exceeds the cap" in err
+
+
+def test_denominator_outside_the_base_rejected_at_once(capsys):
+    """1/(z1+2) on the disk: z1 + 2 is not in the chart's factor base, so
+    the argument is a user error before any product is computed."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "star", "--chart", "disk", "--order", "2",
+                         "--f", "1/(z1+2)", "--g", "zb1")
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert out == ""
+    assert "does not factor over the factor base" in err and "factor_base" in err
 
 
 def test_verify_fedosov_antiwick(capsys):

@@ -11,13 +11,14 @@ from wickstar.expr import (
     ChartExpr,
     ChartPolynomial,
     ExprDivisionError,
+    ExprError,
     GaussianRational,
     MAX_EXPONENT,
     MAX_POWER_DEGREE,
     MAX_TERMS,
     ParseError,
+    factor_base,
     parse,
-    reduce,
 )
 
 settings.register_profile("suite", max_examples=40, deadline=None)
@@ -29,9 +30,13 @@ def test_parse_monomial():
     assert e.serialize() == "(z1*zb1) / (1)"
 
 
+DISK_FACTOR = parse("1 - z1*zb1", 1).num
+DISK = (DISK_FACTOR,)
+
+
 def test_parse_rational_function():
-    e = parse("1/(1 - z1*zb1)", 1)
-    assert e == parse("1", 1) / parse("1 - z1*zb1", 1)
+    e = parse("1/(1 - z1*zb1)", 1, DISK)
+    assert e == parse("1", 1) / parse("1 - z1*zb1", 1, DISK)
     assert not e.is_polynomial()
 
 
@@ -60,50 +65,51 @@ def test_parse_negative_exponent_atoms_only():
 
 
 def test_round_trip_idempotent():
+    base = DISK + (parse("2 + zb1", 1).num,)
     for text in ("(2*z1*zb1 - 2) / (1)", "z1^2*zb1 + 3/4", "(1 - 2*i)*z1 + i",
                  "1/(1 - z1*zb1)^2", "z1^3/(2 + zb1)"):
-        once = parse(text, 1).serialize()
-        assert parse(once, 1).serialize() == once
+        once = parse(text, 1, base).serialize()
+        assert parse(once, 1, base).serialize() == once
 
 
 def test_arith_examples():
     z, zb = parse("z1", 1), parse("zb1", 1)
     assert z * zb == parse("z1*zb1", 1)
-    e = parse("1/(1 - z1*zb1)", 1)
-    assert e + e == parse("2/(1 - z1*zb1)", 1)
+    e = parse("1/(1 - z1*zb1)", 1, DISK)
+    assert e + e == parse("2/(1 - z1*zb1)", 1, DISK)
     with pytest.raises(ExprDivisionError):
         parse("1", 1) / parse("0", 1)
 
 
 def test_differentiate_examples():
     assert parse("z1^2*zb1", 1).differentiate(0) == parse("2*z1*zb1", 1)
-    assert parse("1/(1 - z1*zb1)", 1).differentiate(1) == parse("z1/(1 - z1*zb1)^2", 1)
+    assert parse("1/(1 - z1*zb1)", 1, DISK).differentiate(1) == parse("z1/(1 - z1*zb1)^2", 1, DISK)
     assert parse("zb1^3", 1).differentiate(0).is_zero()
 
 
 def test_conjugate_examples():
     assert parse("i*z1", 1).conjugate() == parse("-i*zb1", 1)
-    sym = parse("1/(1 - z1*zb1)", 1)
+    sym = parse("1/(1 - z1*zb1)", 1, DISK)
     assert sym.conjugate() == sym
     assert parse("2 + 3*i", 1).conjugate() == parse("2 - 3*i", 1)
 
 
 def test_reduce_examples():
-    base = [parse("1 - z1*zb1", 1).num]
-    assert reduce(parse("(1 - z1*zb1)^2/(1 - z1*zb1)", 1), base) == parse("1 - z1*zb1", 1)
-    untouched = parse("z1/(1 - z1*zb1)", 1)
-    assert reduce(untouched, base) == untouched
+    base = [DISK_FACTOR]
+    assert parse("(1 - z1*zb1)^2/(1 - z1*zb1)", 1).with_base(base) == parse("1 - z1*zb1", 1)
+    untouched = parse("z1/(1 - z1*zb1)", 1, base)
+    assert untouched.with_base(base) == untouched
     zero = parse("0", 1) / parse("1 - z1*zb1", 1)
     assert zero.is_zero() and zero.den == ChartPolynomial.one(2)
 
 
 def test_reduce_rejects_constant_base():
     with pytest.raises(Exception):
-        reduce(parse("z1", 1), [parse("2", 1).num])
+        parse("z1", 1).with_base([parse("2", 1).num])
 
 
 def test_denominator_normalization():
-    e = parse("1/(2 - 2*z1*zb1)", 1)
+    e = parse("1/(2 - 2*z1*zb1)", 1, DISK)
     _, lead = e.den.leading()
     assert lead == GaussianRational(1)
 
@@ -131,12 +137,18 @@ def polynomials(draw, n=1):
 
 
 @st.composite
-def rationals(draw, n=1):
-    num = draw(polynomials(n))
-    den = draw(polynomials(n))
-    if den.is_zero():
-        den = ChartExpr.one(n)
-    return num / den
+def units(draw):
+    """A nonzero constant times a coordinate monomial times a power of the
+    disk factor: a value whose inverse exists over the disk base."""
+    coeff = draw(gaussian_rationals().filter(bool))
+    mono = ChartPolynomial(2, {(draw(st.integers(0, 2)), draw(st.integers(0, 2))): coeff})
+    return ChartExpr(mono * DISK_FACTOR ** draw(st.integers(0, 2)), base=DISK)
+
+
+@st.composite
+def rationals(draw):
+    """A random polynomial over a unit: a denominator over the disk base."""
+    return draw(polynomials()) / draw(units())
 
 
 @given(rationals(), rationals(), rationals())
@@ -148,11 +160,26 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
 
 
-@given(rationals())
-def test_field_inverse(a):
+@given(rationals(), units())
+def test_field_inverse(a, u):
+    one = ChartExpr.one(1)
     if not a.is_zero():
-        assert a / a == ChartExpr.one(1)
-        assert a * (ChartExpr.one(1) / a) == ChartExpr.one(1)
+        assert a / a == one
+    assert u * (one / u) == one
+    assert (a / u) * u == a
+
+
+def test_denominator_outside_the_base_is_refused():
+    """A denominator must factor over the base and the coordinates, unless
+    the numerator cancels what is left of it."""
+    for text in ("1/(z1 + 2)", "(1 + z1)/(1 + z1)^2", "z1/(1 - z1*zb1)"):
+        with pytest.raises(ExprError, match="factor_base"):
+            parse(text, 1)
+    with pytest.raises(ExprError, match="factor_base"):
+        ChartExpr.one(1) / parse("1 + z1", 1)
+    assert parse("(1 + z1)/(1 + z1)", 1).serialize() == "(1) / (1)"
+    assert parse("(z1 + 2)/(z1 + 2)*zb1", 1).serialize() == "(zb1) / (1)"
+    assert parse("(1 + z1)^2*zb1/(2 + 2*z1)", 1).serialize() == "((1/2)*z1*zb1 + (1/2)*zb1) / (1)"
 
 
 @given(rationals(), rationals(), st.integers(0, 1))
@@ -178,16 +205,15 @@ def test_conjugation_ring_map(a, b):
 def test_reduce_agrees_with_cross_multiplication(numer, power):
     """On a corpus with known full cancellation, trial division by the base
     recovers the syntactically reduced representative."""
-    base_poly = parse("1 - z1*zb1", 1).num
-    blown = (numer * parse("(1 - z1*zb1)", 1) ** power) / (parse("1 - z1*zb1", 1) ** power)
-    reduced = reduce(blown, [base_poly])
+    factor = parse("1 - z1*zb1", 1, DISK)
+    blown = (numer * factor ** power) / (factor ** power)
+    reduced = blown.with_base(DISK)
     assert reduced == numer
     assert reduced.num == numer.num and reduced.den == numer.den
 
 
 # -- canonical form over a factor base ------------------------------------------
 
-DISK_FACTOR = parse("1 - z1*zb1", 1).num
 CP1_FACTOR = parse("1 + z1*zb1", 1).num
 FACTOR_BASES = {
     "disk": (DISK_FACTOR,),
@@ -220,7 +246,7 @@ def test_power_degree_cap():
     assert parse(f"(z1*zb1)^{MAX_POWER_DEGREE // 2}", 1) == parse("z1*zb1", 1) ** (MAX_POWER_DEGREE // 2)
     for text in ("((z1+zb1)^64)^64", "(z1*zb1)^33", "(1/(1 - z1*zb1))^33"):
         with pytest.raises(ParseError, match="exceeds the cap"):
-            parse(text, 1)
+            parse(text, 1, DISK)
 
 
 def test_term_cap():
@@ -228,16 +254,26 @@ def test_term_cap():
     and powers are checked on a bound of their terms before computing."""
     five = "(z1+z2+zb1+zb2+1)"
     assert len(parse(f"{five}^8", 2).num.terms) == 495
+    # the quotients' denominators factor over their bases
+    linear = [parse(f"{c}+z1+z2+zb1+zb2", 2).num for c in range(1, 65)]
+    quotient = "/".join(["1"] + [five] * 64)
+    fractions = "+".join(f"1/({c}+z1+z2+zb1+zb2)" for c in range(1, 65))
     hostile = (
-        f"{five}^16",
-        f"{five}^64",
-        "*".join([five] * 64),
-        "/".join(["1"] + [five] * 64),
-        "+".join(f"1/({c}+z1+z2+zb1+zb2)" for c in range(1, 65)),
+        (f"{five}^16", ()),
+        (f"{five}^64", ()),
+        ("*".join([five] * 64), ()),
+        (quotient, (parse(five, 2).num,)),
+        (fractions, factor_base(linear)),
     )
-    for text in hostile:
+    for text, base in hostile:
         started = time.perf_counter()
         with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_TERMS}"):
+            parse(text, 2, base)
+        assert time.perf_counter() - started < 1
+    # without a base, the first quotient is refused before any cap is reached
+    for text in (quotient, fractions):
+        started = time.perf_counter()
+        with pytest.raises(ExprError, match="does not factor over the factor base"):
             parse(text, 2)
         assert time.perf_counter() - started < 1
 
@@ -439,11 +475,11 @@ def test_power_with_rational_and_imaginary_coefficients():
 # -- factored denominators ---------------------------------------------------------
 
 BALL_FACTOR = parse("1 - z1*zb1 - z2*zb2", 2).num
-# (dimension, base, non-base residual factors)
+# (dimension, base)
 FACTORED_BASES = {
-    "disk": (1, (DISK_FACTOR,), ("z1 + 2", "zb1 - 3*i")),
-    "cp1": (1, (CP1_FACTOR,), ("z1 + 2", "2*z1*zb1 + 1")),
-    "ball2": (2, (BALL_FACTOR,), ("z2 + 1", "z1*zb2 - 2")),
+    "disk": (1, (DISK_FACTOR,)),
+    "cp1": (1, (CP1_FACTOR,)),
+    "ball2": (2, (BALL_FACTOR,)),
 }
 
 
@@ -452,10 +488,10 @@ def _monomial(nvars, exps):
 
 
 @st.composite
-def factored_values(draw, n, base, residuals, unit=False):
-    """num / (R * x^m * prod b^e) from the constructor, for a random
-    polynomial num (a constant times x^k * prod b^f when `unit`) and R = 1
-    or a non-base polynomial from `residuals`; returns (value, num, den)."""
+def factored_values(draw, n, base, unit=False):
+    """num / (c * x^m * prod b^e) from the constructor, for a random
+    polynomial num (a constant times x^k * prod b^f when `unit`) and a
+    nonzero constant c; returns (value, num, den)."""
     nvars = 2 * n
     if unit:
         num = ChartPolynomial.constant(nvars, draw(gaussian_rationals().filter(bool)))
@@ -467,32 +503,29 @@ def factored_values(draw, n, base, residuals, unit=False):
     den = _monomial(nvars, [draw(st.integers(0, 2)) for _ in range(nvars)])
     for b in base:
         den = den * b ** draw(st.integers(0, 3))
-    if draw(st.booleans()) and not unit:
-        den = den * parse(draw(st.sampled_from(residuals)), n).num
     den = den.scale(draw(gaussian_rationals().filter(bool)))
     return ChartExpr(num, den, base), num, den
 
 
 @st.composite
 def factored_cases(draw, unit_b=False):
-    n, base, residuals = FACTORED_BASES[draw(st.sampled_from(sorted(FACTORED_BASES)))]
-    values = factored_values(n, base, residuals)
-    return (n, base, draw(values), draw(factored_values(n, base, residuals, unit_b)), draw(values))
+    n, base = FACTORED_BASES[draw(st.sampled_from(sorted(FACTORED_BASES)))]
+    values = factored_values(n, base)
+    return (n, base, draw(values), draw(factored_values(n, base, unit_b)), draw(values))
 
 
 @given(factored_cases())
 def test_factored_value_matches_its_pieces(case):
     """The constructor keeps the value, and the expanded denominator has
-    leading coefficient 1 and is a product over the base when R = 1."""
+    leading coefficient 1 and is a product over the base."""
     _, base, (a, num, den), _, _ = case
     assert a.num * den == num * a.den
     assert a.den.leading()[1] == GaussianRational(1)
-    if a.is_factored():
-        rest = a.den
-        for b in base:
-            while not rest.is_constant() and rest.exact_div(b) is not None:
-                rest = rest.exact_div(b)
-        assert len(rest.terms) == 1
+    rest = a.den
+    for b in base:
+        while not rest.is_constant() and rest.exact_div(b) is not None:
+            rest = rest.exact_div(b)
+    assert len(rest.terms) == 1
 
 
 @given(factored_cases(unit_b=True))
@@ -500,8 +533,7 @@ def test_cancelling_an_operand_gives_back_the_same_bytes(case):
     _, _, (a, _, _), (u, _, _), (b, _, _) = case
     for x in ((a * u) / u, (a / u) * u, (a + b) - b, (a - b) + b):
         assert x == a
-        if a.is_factored() and b.is_factored():
-            assert x.serialize() == a.serialize()
+        assert x.serialize() == a.serialize()
 
 
 @given(factored_cases(), st.integers(0, 3))
@@ -533,8 +565,7 @@ def test_equal_factored_values_serialize_equally(case, var):
     ]
     for x, y in pairs:
         assert x == y
-        if x.is_factored() and y.is_factored():
-            assert x.serialize() == y.serialize()
+        assert x.serialize() == y.serialize()
 
 
 def _expr_table_size():

@@ -188,7 +188,7 @@ def test_nabla_flat_generator(c1_flat):
 
 def test_nabla_disk_generator(disk):
     got = nabla(dz(), disk, disk.connection)
-    want = WeylElement.from_terms(1, [(0, (1, 0), 1, parse("-2*zb1/(1 - z1*zb1)", 1))])
+    want = WeylElement.from_terms(1, [(0, (1, 0), 1, parse("-2*zb1/(1 - z1*zb1)", 1, disk.factor_base))])
     assert got == want
 
 
