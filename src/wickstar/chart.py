@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import weyl
 from .expr import (
+    GR_HALF_I,
     ChartExpr,
     ExprError,
     GaussianRational,
@@ -24,7 +25,6 @@ from .expr import (
     var_name,
 )
 
-GR_HALF_I = GaussianRational(0, Fraction(1, 2))
 GR_MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
 
 
@@ -479,7 +479,7 @@ class Chart:
             self.metric[k][l].is_constant() for k in range(n) for l in range(n)
         )
 
-    def with_omega(self, omega_series, name_suffix=""):
+    def with_omega(self, omega_series):
         """A copy of the chart with a different two-form series; geometry
         caches are shared since the metric is unchanged."""
         out = Chart(
@@ -489,7 +489,7 @@ class Chart:
             self.factor_base,
             self.potential_gradient,
             omega_series,
-            self.name + name_suffix,
+            self.name,
         )
         out._connection = self._connection
         out._curvature = self._curvature
@@ -658,6 +658,13 @@ def load_chart(source):
         base = interned_base(base)
     except ExprError as exc:
         raise ChartError(str(exc)) from exc
+    # conjugation must stay inside the base
+    for entry in base:
+        conj = entry.conjugate()
+        if not any((q := conj.exact_div(b)) is not None and q.is_constant() for b in base):
+            raise ChartError(
+                f"factor base entry {entry.render()!r} needs its conjugate {conj.render()!r} in the base"
+            )
 
     def load_matrix(field):
         rows = _expect(doc[field], list, f"`{field}`")

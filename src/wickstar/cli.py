@@ -565,44 +565,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, product=True):
+        """A subcommand with `--chart` and `--format`, and with `--product`,
+        `--order` and `--truncation` when it builds Fedosov data."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--chart", required=True, help="chart file or bundled chart name")
-        p.add_argument("--product", default="wick", choices=("weyl", "wick", "antiwick"))
-        p.add_argument("--order", type=int, default=1, help="series order N (default 1)")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="total-degree truncation K (default 2N+2; only upward)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        if product:
+            p.add_argument("--product", default="wick", choices=("weyl", "wick", "antiwick"))
+            p.add_argument("--order", type=int, default=1, help="series order N (default 1)")
+            p.add_argument("--truncation", type=int, default=None,
+                           help="total-degree truncation K (default 2N+2; only upward)")
         p.add_argument("--format", dest="fmt", default="text", choices=("text", "json"))
+        return p
 
-    p_star = sub.add_parser("star", help="evaluate a star product")
-    common(p_star)
+    p_star = command("star", "evaluate a star product")
     p_star.add_argument("--f", required=True, help="left factor expression")
     p_star.add_argument("--g", required=True, help="right factor expression")
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify)
+    p_verify = command("verify", "run verification suites")
     p_verify.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)}")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
-    p_geom = sub.add_parser("geometry", help="print derived geometry")
-    common(p_geom)
+    p_geom = command("geometry", "print derived geometry")
     p_geom.add_argument("--show", required=True,
                         help="christoffel | curvature | ricci | omega | karabegov")
 
-    p_desc = sub.add_parser("describe", help="summarize a chart")
-    common(p_desc)
+    command("describe", "summarize a chart", product=False)
     return parser
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        # a subcommand without one of these flags gets the RunConfig default
+        given = vars(args)
         config = RunConfig(
             chart_path=args.chart,
-            product=args.product,
-            order=args.order,
-            truncation=args.truncation,
-            seed=args.seed,
             fmt=args.fmt,
+            **{k: given[k] for k in ("product", "order", "truncation", "seed") if k in given},
         )
         if args.command == "star":
             text, code = cmd_star(config, args.f, args.g)

@@ -17,15 +17,14 @@ degree-wise expansion is unwieldy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import weyl
 from .chart import FormSeries, TwoForm
-from .expr import ChartExpr, ExprError, GaussianRational
+from .expr import GR_I, ChartExpr, ExprError, GaussianRational
 from .weyl import NuSeries, WeylElement
-
-GR_I = GaussianRational(0, 1)
 
 
 class FedosovError(Exception):
@@ -249,17 +248,6 @@ class FedosovData:
         if mn is not None and mn < 2:
             raise ContractViolation("connection element has total degree < 2")
 
-    def with_data(self, omega=None, s=None, allow_sym_degree_one=False, kind=None, verify=True):
-        return FedosovData(
-            kind or self.kind,
-            self.chart,
-            self.K,
-            omega=self.omega if omega is None else omega,
-            s=self.s if s is None else s,
-            allow_sym_degree_one=allow_sym_degree_one,
-            verify=verify,
-        )
-
 
 def compute_r_via_fixed_point(data, seed=None):
     """The connection element by plain fixed-point iteration from any seed.
@@ -394,7 +382,7 @@ def star_series(data, F, G, N):
 
 def _derivative_table(chart, expr, offsets, max_order, tag):
     """All iterated derivatives of expr along the given coordinate block,
-    indexed by multi-index and divided by its factorial; memoized."""
+    indexed by multi-index; memoized."""
     memo = chart.contraction_memo(("cf_derivs", tag))
     key = expr.serialize()
     hit = memo.get(key)
@@ -420,15 +408,8 @@ def _derivative_table(chart, expr, offsets, max_order, tag):
             break
         table.update(nxt)
         frontier = nxt
-    weighted = {}
-    for alpha, val in table.items():
-        fac = 1
-        for e in alpha:
-            for m in range(2, e + 1):
-                fac *= m
-        weighted[alpha] = val.scale(GaussianRational(Fraction(1, fac)))
-    memo[key] = weighted
-    return weighted
+    memo[key] = table
+    return table
 
 
 def closed_form_flat(chart, f, g, kind, N):
@@ -447,7 +428,7 @@ def closed_form_flat(chart, f, g, kind, N):
     out = NuSeries.zeros(n, N)
     if diagonal:
         # sum over multi-indices: coupling^|a| * prod g^{kk}^{a_k} / a! *
-        # (d^a f)(d^a-bar g); the 1/a! tables are cached per function
+        # (d^a f)(d^a-bar g); the derivative tables are cached per function
         hol = tuple(range(n))
         ahol = tuple(range(n, 2 * n))
         if kind == "wick":
@@ -469,14 +450,7 @@ def closed_form_flat(chart, f, g, kind, N):
             if factor is None:
                 factor = coupling ** order
                 for k, e in enumerate(alpha):
-                    factor = factor * diag[k] ** e
-                # undo one of the two 1/alpha! weights: the formula carries
-                # a single multinomial weight over ordered index sequences
-                fac = 1
-                for e in alpha:
-                    for m in range(2, e + 1):
-                        fac *= m
-                factor = factor * GaussianRational(fac)
+                    factor = factor * diag[k] ** e / math.factorial(e)
                 weights[alpha] = factor
             out.coeffs[order] = out.coeffs[order] + (df * dg).scale(factor)
         return out
@@ -515,15 +489,15 @@ def closed_form_flat(chart, f, g, kind, N):
 # -- Wick-type characterization -----------------------------------------------------------
 
 
-def default_pool(chart, count=6, seed=1, max_degree=3):
+def default_pool(chart, count=6):
     """Deterministic pool of small polynomials used by behavioral checks."""
     from .sampling import Lcg, random_polynomial
 
-    rng = Lcg(seed)
-    return [random_polynomial(chart.n, rng, max_degree=max_degree) for _ in range(count)]
+    rng = Lcg(1)
+    return [random_polynomial(chart.n, rng) for _ in range(count)]
 
 
-def wick_type_check(data, N, witnesses=None, pool=None):
+def wick_type_check(data, N, witnesses=None):
     """Structural and behavioral characterization of the Wick type.
 
     Structural: pi_z r = pi_zbar r = 0, same for the normalization element,
@@ -546,7 +520,7 @@ def wick_type_check(data, N, witnesses=None, pool=None):
     report.add("structural: two-form series of type (1,1)", t11)
 
     if witnesses is None:
-        pool = pool if pool is not None else default_pool(chart)
+        pool = default_pool(chart)
         anti = [ChartExpr.one(n)]
         hol = [ChartExpr.one(n)]
         for k in range(n):
@@ -650,7 +624,8 @@ def renormalize_s(data, B):
         raise FedosovError("one-form series must start at nu^1")
     s_new = data.s + B.to_weyl_sym(truncation=data.K)
     omega_new = data.omega - B.d()
-    out = data.with_data(omega=omega_new, s=s_new, allow_sym_degree_one=True)
+    out = FedosovData(data.kind, data.chart, data.K, omega=omega_new, s=s_new,
+                      allow_sym_degree_one=True)
     expected = data.r + B.to_weyl(truncation=data.K)
     if out.r != expected:
         raise ContractViolation("renormalized element does not shift by the central one-form")
@@ -725,7 +700,7 @@ class EquivalenceTransform:
         return _exp_ad_sigma(self.data, self.h, tau(self.data_prime, f, 2 * N), N, sign=-1)
 
 
-def equivalence_A_h(data, data_prime, C, N, samples=None):
+def equivalence_A_h(data, data_prime, C, N):
     """Equivalence transformation between two data sets with cohomologous
     two-form series, built from the Bernoulli-weighted recursion for h."""
     if data.kind != data_prime.kind or data.chart is not data_prime.chart or data.K != data_prime.K:
@@ -746,13 +721,11 @@ def equivalence_A_h(data, data_prime, C, N, samples=None):
     h = fixed_point(step, c_el, K)
     transform = EquivalenceTransform(data, data_prime, h)
 
-    if samples is None:
-        n = chart.n
-        z = ChartExpr.variable(n, 0)
-        zb = ChartExpr.variable(n, n)
-        samples = [(z, zb), (zb, z * zb)]
+    n = chart.n
+    z = ChartExpr.variable(n, 0)
+    zb = ChartExpr.variable(n, n)
     check_N = min(N, (data.K - 2) // 2)
-    for f, g in samples:
+    for f, g in ((z, zb), (zb, z * zb)):
         lhs = transform.apply(star(data, f, g, check_N), check_N)
         rhs = star_series(data_prime, transform.apply(f, check_N), transform.apply(g, check_N), check_N)
         if lhs != rhs:
@@ -926,7 +899,7 @@ def karabegov_form(data, N, pool=None):
 # -- Hermiticity ---------------------------------------------------------------------
 
 
-def hermitian_check(data, N, samples=None):
+def hermitian_check(data, N):
     """Hermiticity: conj(Omega) = Omega iff conj(f*g) = conj(g) * conj(f)."""
     chart = data.chart
     n = chart.n
@@ -934,13 +907,11 @@ def hermitian_check(data, N, samples=None):
     structural = data.omega.conjugate() == data.omega
     report.add("structural: conj(Omega) = Omega", structural,
                "" if structural else data.omega.render())
-    if samples is None:
-        z = ChartExpr.variable(n, 0)
-        zb = ChartExpr.variable(n, n)
-        samples = [(z, zb), (zb, z), (z * zb, z), (z + zb, z * zb)]
+    z = ChartExpr.variable(n, 0)
+    zb = ChartExpr.variable(n, n)
     behavioral = True
     detail = ""
-    for f, g in samples:
+    for f, g in ((z, zb), (zb, z), (z * zb, z), (z + zb, z * zb)):
         lhs = weyl.conj_C(star(data, f, g, N))
         rhs = star(data, g.conjugate(), f.conjugate(), N)
         if lhs != rhs:
@@ -964,7 +935,7 @@ def _nested_commutator_value(op, mults, f0):
     return _nested_commutator_value(inner, rest, f0)
 
 
-def vey_order_check(data, r_max, g_pool=None, mult_pool=None, eval_pool=None):
+def vey_order_check(data, r_max):
     """Differential order of the star-product coefficients.
 
     For each order r the operator f -> C_r(f, g) must be differential of
@@ -975,16 +946,11 @@ def vey_order_check(data, r_max, g_pool=None, mult_pool=None, eval_pool=None):
 
     chart = data.chart
     n = chart.n
-    if g_pool is None:
-        z = ChartExpr.variable(n, 0)
-        zb = ChartExpr.variable(n, n)
-        g_pool = [z, zb, z * z * zb]
-    if mult_pool is None:
-        mult_pool = [ChartExpr.variable(n, 0), ChartExpr.variable(n, n)]
-    if eval_pool is None:
-        z = ChartExpr.variable(n, 0)
-        zb = ChartExpr.variable(n, n)
-        eval_pool = [ChartExpr.one(n), z, zb, z * zb]
+    z = ChartExpr.variable(n, 0)
+    zb = ChartExpr.variable(n, n)
+    g_pool = [z, zb, z * z * zb]
+    mult_pool = [z, zb]
+    eval_pool = [ChartExpr.one(n), z, zb, z * zb]
     report = Report(title=f"vey order ({chart.name or 'chart'}, {data.kind})")
     for r in range(1, r_max + 1):
         ok_first = True
@@ -1019,34 +985,35 @@ def vey_order_check(data, r_max, g_pool=None, mult_pool=None, eval_pool=None):
 # -- separation of variables --------------------------------------------------------------
 
 
-def separation_product(data, f, g, N, verify=True):
+def _reindexed(data, f, g, N):
+    """gf + sum (i lambda)^l C_l(g, f) as a series in lambda."""
+    coeffs = []
+    scale = GaussianRational(1)
+    for c in star(data, g, f, N).coeffs:
+        coeffs.append(c.scale(scale))
+        scale = scale * GR_I
+    return NuSeries(coeffs, param="lambda")
+
+
+def separation_product(data, f, g, N):
     """The reindexed product f *K g = gf + sum (i lambda)^l C_l(g, f).
 
     A series in the real parameter lambda; holomorphic functions multiply
     pointwise from the left and antiholomorphic ones from the right, which
-    is checked on small witnesses when `verify` is set.
+    is checked on small witnesses.
     """
-    base = star(data, g, f, N)
-    coeffs = []
-    scale = GaussianRational(1)
-    for l, c in enumerate(base.coeffs):
-        coeffs.append(c.scale(scale))
-        scale = scale * GR_I
-    out = NuSeries(coeffs, param="lambda")
-    if verify:
-        n = data.chart.n
-        z = ChartExpr.variable(n, 0)
-        zb = ChartExpr.variable(n, n)
-        for h in (ChartExpr.one(n), z, z * z):
-            got = separation_product(data, h, zb, N, verify=False)
-            want = NuSeries.from_function(h * zb, N, param="lambda")
-            if got != want:
-                raise ContractViolation("separation property fails for a holomorphic witness")
-        for h in (zb, zb * zb):
-            got = separation_product(data, z, h, N, verify=False)
-            want = NuSeries.from_function(z * h, N, param="lambda")
-            if got != want:
-                raise ContractViolation("separation property fails for an antiholomorphic witness")
+    out = _reindexed(data, f, g, N)
+    n = data.chart.n
+    z = ChartExpr.variable(n, 0)
+    zb = ChartExpr.variable(n, n)
+    for h in (ChartExpr.one(n), z, z * z):
+        want = NuSeries.from_function(h * zb, N, param="lambda")
+        if _reindexed(data, h, zb, N) != want:
+            raise ContractViolation("separation property fails for a holomorphic witness")
+    for h in (zb, zb * zb):
+        want = NuSeries.from_function(z * h, N, param="lambda")
+        if _reindexed(data, z, h, N) != want:
+            raise ContractViolation("separation property fails for an antiholomorphic witness")
     return out
 
 

@@ -36,16 +36,14 @@ class Lcg:
         span = high - low + 1
         return low + self.next_u32() % span
 
-    def fraction(self, max_num=3, max_den=2):
-        num = self.randint(-max_num, max_num)
-        den = self.randint(1, max_den)
+    def fraction(self):
+        """A fraction with numerator in [-3, 3] and denominator in [1, 2]."""
+        num = self.randint(-3, 3)
+        den = self.randint(1, 2)
         return Fraction(num, den)
 
-    def gaussian_rational(self, max_num=3, max_den=2):
-        return GaussianRational(self.fraction(max_num, max_den), self.fraction(max_num, max_den))
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
+    def gaussian_rational(self):
+        return GaussianRational(self.fraction(), self.fraction())
 
     def split(self, tag):
         """An independent generator derived from this one and a tag."""
@@ -54,12 +52,12 @@ class Lcg:
         return Lcg(self.state ^ ((tag + 1) * 0xD1342543DE82EF95 & _MASK))
 
 
-def random_polynomial(n, rng, max_degree=3, terms=4, max_num=3, max_den=2):
+def random_polynomial(n, rng, max_degree=3, terms=4):
     """Sparse random polynomial with per-variable degree <= max_degree."""
     out = {}
     for _ in range(terms):
         exp = tuple(rng.randint(0, max_degree) if rng.randint(0, 1) else 0 for _ in range(2 * n))
-        coeff = rng.gaussian_rational(max_num, max_den)
+        coeff = rng.gaussian_rational()
         if coeff.is_zero():
             continue
         cur = out.get(exp)
@@ -81,9 +79,9 @@ def monomial_pool(n, max_degree=3):
     return pool
 
 
-def random_weyl_element(chart, rng, max_degree=6, terms=6, truncation=None,
-                        coeff_degree=1):
-    """Random element with bounded total degree and small polynomial coefficients.
+def random_weyl_element(chart, rng, max_degree=6, terms=6, truncation=None):
+    """Random element with bounded total degree and small polynomial
+    coefficients of per-variable degree <= 1.
 
     Identity checks want untruncated elements (operator compositions may
     transiently exceed the generation bound), so no truncation is attached
@@ -100,14 +98,14 @@ def random_weyl_element(chart, rng, max_degree=6, terms=6, truncation=None,
         if sum(sym) + 2 * p > max_degree:
             continue
         asym = rng.randint(0, (1 << (2 * n)) - 1)
-        coeff = random_polynomial(n, rng, max_degree=coeff_degree, terms=2)
+        coeff = random_polynomial(n, rng, max_degree=1, terms=2)
         if coeff.is_zero():
             continue
         items.append((p, tuple(sym), asym, coeff))
     return WeylElement.from_terms(n, items, truncation)
 
 
-def spanning_scalars(n, coeff_degree=1):
+def spanning_scalars(n):
     """Small scalar functions that multiply the graded generators in a
     spanning set: 1, each coordinate, and the mixed quadratic."""
     out = [ChartExpr.one(n)]

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import ChartExpr, GaussianRational, var_name
+from .expr import GR_I, ChartExpr, GaussianRational, var_name
 
-GR_I = GaussianRational(0, 1)
 # 1/i = -i and 2/i = -2i: the couplings of the fibrewise products.
 INV_I = GaussianRational(0, -1)
 TWO_OVER_I = GaussianRational(0, -2)
@@ -275,9 +274,6 @@ class WeylElement:
             d = bin(key[2]).count("1")
             out.setdefault(d, WeylElement(self.n, {}, self.truncation)).terms[key] = coeff
         return out
-
-    def max_sym_degree(self):
-        return max((sum(k[1]) for k in self.terms), default=0)
 
     # -- rendering ------------------------------------------------------------
 

@@ -166,16 +166,18 @@ _OUT_OF_BASE = "1/(1 + z1)"
     ("factor_base", ["z1 - z1^2*zb1"], "has a monomial factor"),
     ("factor_base", ["1 - z1*zb1", "2*z1*zb1 - 2"], "repeats another entry"),
     ("factor_base", ["1 - z1*zb1", "(1 - z1*zb1)*(1 + z1*zb1)"], "divides another entry"),
+    ("factor_base", ["z1 + 2"], "needs its conjugate 'zb1"),
     ("factor_base", [], "does not factor over the factor base"),
     ("inverse_metric", [[f"(1 - z1*zb1)^2/2*{_OUT_OF_BASE}"]], "does not factor"),
     ("potential_gradient", [f"i*zb1/(1 - z1*zb1)*{_OUT_OF_BASE}"], "does not factor"),
     ("omega_series", [{"nu_power": 1, "form": {"dz1^dzb1": _OUT_OF_BASE}}], "does not factor"),
-], ids=["monomial-factor", "repeat", "divides", "metric", "inverse-metric",
+], ids=["monomial-factor", "repeat", "divides", "conjugate", "metric", "inverse-metric",
         "potential-gradient", "omega-series"])
 def test_factor_base_invariants_are_hard_errors(field, value, message, capsys):
-    """Base entries have no monomial factor and neither repeat nor divide
-    one another; every denominator of the chart data factors over the base
-    and the coordinates, with no residual."""
+    """Base entries have no monomial factor, neither repeat nor divide one
+    another, and have their conjugates in the base; every denominator of
+    the chart data factors over the base and the coordinates, with no
+    residual."""
     doc = dict(_DISK, **{field: value})
     with pytest.raises(ChartError, match=message):
         load_chart(json.dumps(doc))

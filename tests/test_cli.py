@@ -245,7 +245,11 @@ def test_usage_errors_exit_1(capsys):
     for argv in (["star", "--chart", "c1_flat", "--order", "abc", "--f", "z1", "--g", "zb1"],
                  ["star", "--chart", "c1_flat", "--f", "z1"],
                  [],
-                 ["bogus"]):
+                 ["bogus"],
+                 # flags a subcommand does not read
+                 ["star", "--chart", "c1_flat", "--seed", "1", "--f", "z1", "--g", "zb1"],
+                 ["geometry", "--chart", "disk", "--seed", "1", "--show", "ricci"],
+                 ["describe", "--chart", "disk", "--order", "1"]):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
