@@ -332,10 +332,11 @@ def _validate_connection(chart, conn):
                     raise ChartError(f"connection is not metric at ({k},{l},{nn})")
 
 
-def curvature(chart, conn=None, verify=True):
-    """Curvature element and Ricci form of the chart's connection."""
+def curvature(chart):
+    """Curvature element and Ricci form of the chart's connection, checked
+    against delta R = 0, nabla R = 0 and Delta_fib R = Ricci form."""
     n = chart.n
-    conn = conn or chart.connection
+    conn = chart.connection
     zero = ChartExpr.zero(n)
     rho = {}
     items = []
@@ -368,8 +369,7 @@ def curvature(chart, conn=None, verify=True):
         n, hm={(i, jb): v.scale(GR_MINUS_HALF_I) for (i, jb), v in ricci.items()}
     )
     data = CurvatureData(n, rho, element, ricci_form, ricci)
-    if verify:
-        _validate_curvature(chart, conn, data)
+    _validate_curvature(chart, conn, data)
     return data
 
 
@@ -456,7 +456,7 @@ class Chart:
     @property
     def curvature_data(self):
         if self._curvature is None:
-            self._curvature = curvature(self, self.connection)
+            self._curvature = curvature(self)
         return self._curvature
 
     @property

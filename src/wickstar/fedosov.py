@@ -129,16 +129,16 @@ class FedosovData:
     """Product kind, chart, input data and the computed connection element.
 
     Immutable after construction apart from `tau_cache`, a memo table from
-    serialized functions to a pair (parts, views): the tuple of homogeneous
-    parts of tau(f) computed so far, of degree 0..len(parts)-1, and a dict
-    from each requested degree to the series cut there.  A request for a
-    higher degree extends the parts and stores a longer tuple; concurrent
-    duplicate recomputation is harmless because entries are value
-    determined.
+    serialized functions to the tuple of homogeneous parts of tau(f)
+    computed so far, of degree 0..len(parts)-1.  A request for a higher
+    degree extends the parts and stores a longer tuple; concurrent duplicate
+    recomputation is harmless because entries are value determined.  The
+    connection element is always checked against its defining equations
+    (`verify_r`).
     """
 
     def __init__(self, kind, chart, K, omega=None, s=None,
-                 allow_sym_degree_one=False, verify=True):
+                 allow_sym_degree_one=False):
         if kind not in weyl.KINDS:
             raise FedosovError(f"unknown product kind {kind!r}")
         if K < 2:
@@ -158,8 +158,7 @@ class FedosovData:
         self.tau_cache = {}
         self.r_parts = {}
         self.r = self._compute_r()
-        if verify:
-            self.verify_r()
+        self.verify_r()
 
     def _validate_s(self, allow_sym_degree_one):
         if not weyl.sigma(self.s).is_zero():
@@ -305,17 +304,10 @@ def tau(data, f, degree=None):
     K = data.K
     degree = _cut_degree(data, degree)
     key = f.serialize()
-    entry = data.tau_cache.get(key)
-    if entry is None:
-        entry = ((WeylElement.scalar(f, truncation=K),), {})
-        data.tau_cache[key] = entry
-    parts, views = entry
-    hit = views.get(degree)
-    if hit is not None:
-        return hit
-    if len(parts) <= degree:
+    parts = data.tau_cache.get(key)
+    if parts is None or len(parts) <= degree:
         chart, conn, kind = data.chart, data.conn, data.kind
-        parts = list(parts)
+        parts = list(parts or (WeylElement.scalar(f, truncation=K),))
         for k in range(len(parts) - 1, degree):
             bracket = weyl.nabla(parts[k], chart, conn)
             for l in range(k):
@@ -325,11 +317,12 @@ def tau(data, f, degree=None):
                     continue
                 bracket = bracket - weyl.ad_over_nu(rp, tp, kind, chart, None)
             parts.append(weyl.delta_inv(bracket).truncate(K))
-        data.tau_cache[key] = (tuple(parts), views)
+        parts = tuple(parts)
+        data.tau_cache[key] = parts
     terms = {}
     for part in parts[: degree + 1]:
         terms.update(part.terms)
-    return views.setdefault(degree, WeylElement(data.chart.n, terms, degree))
+    return WeylElement(data.chart.n, terms, degree)
 
 
 # -- the star product ------------------------------------------------------------------
@@ -381,10 +374,10 @@ def star_series(data, F, G, N):
 
 
 def _derivative_table(chart, expr, offsets, max_order, tag):
-    """All iterated derivatives of expr along the given coordinate block,
-    indexed by multi-index; memoized."""
+    """All iterated derivatives of expr along the given coordinate block up
+    to order max_order, indexed by multi-index; memoized per order."""
     memo = chart.contraction_memo(("cf_derivs", tag))
-    key = expr.serialize()
+    key = (expr.serialize(), max_order)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -747,7 +740,6 @@ def parity_transport(data):
         omega=data.omega.parity(),
         s=weyl.parity_P(data.s),
         allow_sym_degree_one=True,
-        verify=False,
     )
     if out.r != weyl.parity_P(data.r):
         raise ContractViolation("parity transport does not flip the connection element")
@@ -1036,7 +1028,7 @@ def weyl_transport(data):
     omega_t = data.omega + FormSeries(chart.n, [(1, ricci.scale(GR_I))])
     out = FedosovData(
         "weyl", chart, data.K, omega=omega_t, s=s_t,
-        allow_sym_degree_one=True, verify=False,
+        allow_sym_degree_one=True,
     )
     if out.r != r_t:
         raise ContractViolation("transported connection element mismatch")

@@ -19,6 +19,7 @@ finitary exactly on this filtration.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .expr import GR_I, ChartExpr, GaussianRational, var_name
@@ -119,13 +120,12 @@ def _iter_bits(mask):
 class WeylElement:
     """Finite graded element of the truncated Weyl algebra."""
 
-    __slots__ = ("n", "truncation", "terms", "_views")
+    __slots__ = ("n", "truncation", "terms")
 
     def __init__(self, n, terms=None, truncation=None):
         self.n = n
         self.terms = terms if terms is not None else {}
         self.truncation = truncation
-        self._views = None
 
     # -- constructors --------------------------------------------------------
 
@@ -602,77 +602,57 @@ def full_contraction_value(m1, m2, kind, chart):
     return value
 
 
-def _is_diagonal_metric(chart):
-    memo = chart.contraction_memo("_diag")
-    hit = memo.get("diag")
-    if hit is None:
-        n = chart.n
-        hit = all(
-            chart.inverse_metric[k][l].is_zero()
-            for k in range(n)
-            for l in range(n)
-            if k != l
-        )
-        memo["diag"] = hit
-    return hit
+@functools.lru_cache(maxsize=1024)
+def _partners(n, hol, ahol):
+    """The sym multisets over n coordinates with `ahol` dz and `hol` dzb
+    symbols: the partners a multiset with `hol` dz and `ahol` dzb can fully
+    contract with, each dz meeting a dzb.  hol + ahol is at most the
+    requested nu order; the size bound keeps the memo finite for a library
+    caller past the CLI's order cap."""
 
+    def spread(total, slots):
+        if slots == 1:
+            return [(total,)]
+        return [(k,) + rest for k in range(total, -1, -1) for rest in spread(total - k, slots - 1)]
 
-def _mirror_multiset(m, n, kind):
-    """The unique fully-contractible partner of a sym multiset when the
-    metric is diagonal, or None if the multiset cannot deplete.
-
-    Every dz pairs with a dzb of the partner and vice versa, so the partner
-    is the swapped multiset; Wick contracts only the left factor's dz and
-    anti-Wick only its dzb.
-    """
-    hol, ahol = m[:n], m[n:]
-    if kind == "wick" and any(ahol) or kind == "antiwick" and any(hol):
-        return None
-    return ahol + hol
+    return tuple(h + a for h in spread(ahol, n) for a in spread(hol, n))
 
 
 def sigma_circ(a, b, kind, chart, max_nu):
-    """The scalar part of a.b, computed without forming the full product.
+    """The scalar part of a.b up to nu^max_nu, computed without forming the
+    full product.
 
-    Only fully contracted pairs contribute to the (0,0)-part, so pairs are
-    filtered to equal symmetric size and empty antisymmetric part; for a
-    diagonal metric the partner multiset is unique and found by lookup.
+    Only fully contracted pairs reach the (0,0)-part.  A term of `a` without
+    antisymmetric part is contracted only in the directions `_CONTRACTIONS`
+    gives the kind (Wick: its dz, anti-Wick: its dzb, Weyl: both), and its
+    partners in `b` are looked up by key: every multiset with as many dzb as
+    it has dz and as many dz as it has dzb, at each nu power still in range.
     Returns a scalar WeylElement holding the nu-coefficients up to max_nu.
     """
     n = a.n
     out = WeylElement(n, {}, 2 * max_nu)
-    diagonal = _is_diagonal_metric(chart)
-    if b._views is None:
-        b._views = {}
-    buckets = b._views.get(("sigma_buckets", diagonal))
-    if buckets is None:
-        buckets = {}
-        for (p2, m2, a2), c2 in b.terms.items():
-            if a2:
-                continue
-            key = m2 if diagonal else sum(m2)
-            buckets.setdefault(key, []).append((p2, m2, c2))
-        b._views[("sigma_buckets", diagonal)] = buckets
     zero_sym = (0,) * (2 * n)
+    dz_side = any(not flipped for flipped, _ in _CONTRACTIONS[kind])
+    dzb_side = any(flipped for flipped, _ in _CONTRACTIONS[kind])
+    memo = chart.contraction_memo(kind)
     for (p1, m1, a1), c1 in a.terms.items():
         if a1:
             continue
-        s1 = sum(m1)
-        if p1 + s1 > max_nu:
+        hol, ahol = sum(m1[:n]), sum(m1[n:])
+        low = p1 + hol + ahol
+        if low > max_nu or (hol and not dz_side) or (ahol and not dzb_side):
             continue
-        if diagonal:
-            partner = _mirror_multiset(m1, n, kind)
-            matches = buckets.get(partner, ()) if partner is not None else ()
-        else:
-            matches = buckets.get(s1, ())
-        for p2, m2, c2 in matches:
-            total_nu = p1 + p2 + s1
-            if total_nu > max_nu:
-                continue
-            value = full_contraction_value(m1, m2, kind, chart)
-            if value.is_zero():
-                continue
-            out._add(total_nu, zero_sym, 0, c1 * c2 * value)
+        for m2 in _partners(n, hol, ahol):
+            for p2 in range(max_nu - low + 1):
+                c2 = b.terms.get((p2, m2, 0))
+                if c2 is None:
+                    continue
+                # the inline memo read saves a call per present key
+                value = memo.get((m1, m2))
+                if value is None:
+                    value = full_contraction_value(m1, m2, kind, chart)
+                if not value.is_zero():
+                    out._add(low + p2, zero_sym, 0, c1 * c2 * value)
     return out
 
 

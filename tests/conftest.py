@@ -27,6 +27,19 @@ def c2_flat_omega20():
 
 
 @pytest.fixture(scope="session")
+def c2_flat_skew():
+    """A flat chart whose metric is not diagonal."""
+    return load_chart({
+        "name": "c2_flat_skew",
+        "dimension": 2,
+        "metric": [["2", "1"], ["1", "2"]],
+        "inverse_metric": [["2/3", "-1/3"], ["-1/3", "2/3"]],
+        "factor_base": [],
+        "potential_gradient": ["i*zb1 + (1/2)*i*zb2", "(1/2)*i*zb1 + i*zb2"],
+    })
+
+
+@pytest.fixture(scope="session")
 def disk():
     return bundled("disk")
 

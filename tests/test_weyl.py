@@ -269,6 +269,32 @@ def test_projection_product_compatibility(disk):
                 project(a, "pi_azbar"), project(b, "pi_azbar"), "wick", disk)
 
 
+def _with_scalar_part_terms(el):
+    """el plus a copy of each of its terms with the antisymmetric word dropped."""
+    items = [(p, sym, asym, c) for (p, sym, asym), c in el.terms.items()]
+    items += [(p, sym, 0, c) for p, sym, _, c in items]
+    return WeylElement.from_terms(el.n, items)
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", ("c2_flat", "c2_flat_skew"))
+def test_sigma_circ_is_the_scalar_part_of_circ(request, name, kind):
+    """On a diagonal and a non-diagonal metric, sigma_circ agrees with the
+    scalar part of the full product at every order."""
+    chart = request.getfixturevalue(name)
+    rng = Lcg(41)
+    seen = False
+    for i in range(3):
+        a, b = (_with_scalar_part_terms(random_weyl_element(chart, rng.split(2 * i + j), terms=8))
+                for j in (0, 1))
+        full = sigma(circ(a, b, kind, chart))
+        for max_nu in range(4):
+            want = to_nu_series(full, max_nu)
+            assert to_nu_series(weyl.sigma_circ(a, b, kind, chart, max_nu), max_nu) == want
+            seen = seen or any(not c.is_zero() for c in want.coeffs[1:])
+    assert seen
+
+
 @pytest.mark.parametrize("product", [
     lambda a, b, kind, chart: circ(a, b, kind, chart),
     lambda a, b, kind, chart: weyl.circ_over_nu(a, b, kind, chart, None),
