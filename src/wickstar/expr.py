@@ -20,8 +20,10 @@ the bundled charts and makes their form canonical.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 
 
@@ -71,6 +73,11 @@ class GaussianRational:
     @property
     def im(self):
         return Fraction(self.b, self.d)
+
+    @staticmethod
+    def ratio(num, den):
+        """The rational num/den of two ints, den != 0."""
+        return _make(num, 0, den)
 
     @staticmethod
     def coerce(value):
@@ -205,118 +212,230 @@ GR_I = GaussianRational(0, 1)
 GR_HALF_I = GaussianRational(0, Fraction(1, 2))
 
 
+# -- packed exponents ------------------------------------------------------------
+
+# A monomial of a ChartPolynomial is one int, its exponent tuple packed into
+# fields of FIELD_BITS bits with variable 0 in the most significant field, so
+# integer order is lexicographic order of the exponent tuples.  The top bit
+# of each field is a guard bit: exponents stay below EXPONENT_LIMIT, so adding
+# two keys never carries into the next field, a set guard bit after an
+# addition flags an exponent at or above the limit, and subtracting from a
+# key with its guard bits set clears the guard bit of each field that would
+# borrow.
+FIELD_BITS = 15
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+class _Layout:
+    """The masks of the packed keys over nvars variables: `shifts[j]` is the
+    low bit of variable j's field, `guards` has every guard bit set and
+    `ones` the low bit of every field."""
+
+    __slots__ = ("shifts", "guards", "ones")
+
+    def __init__(self, nvars):
+        self.shifts = tuple(FIELD_BITS * (nvars - 1 - j) for j in range(nvars))
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guards = self.ones * EXPONENT_LIMIT
+
+
+class _Layouts(dict):
+    def __missing__(self, nvars):
+        lay = self[nvars] = _Layout(nvars)
+        return lay
+
+
+_LAYOUTS = _Layouts()
+
+
+def _pack(exp, nvars):
+    if len(exp) != nvars:
+        raise ExprError(f"exponent tuple {exp!r} does not have {nvars} entries")
+    key = 0
+    for e in exp:
+        if type(e) is not int or not 0 <= e < EXPONENT_LIMIT:
+            raise ExprError(f"exponent {e!r} is not an integer in 0..{EXPONENT_LIMIT - 1}")
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(key, nvars):
+    return tuple((key >> s) & _FIELD for s in _LAYOUTS[nvars].shifts)
+
+
+def _check_keys(bits, nvars):
+    """Raise ExprError when the OR of some keys, `bits`, has a guard bit set."""
+    if bits & _LAYOUTS[nvars].guards:
+        raise ExprError(f"an exponent reached the limit {EXPONENT_LIMIT}")
+
+
+def _keys_bits(keys):
+    return functools.reduce(operator.or_, keys, 0)
+
+
+def _ge_mask(x, y, lay):
+    """The value bits of the fields where x >= y."""
+    ge = ((x | lay.guards) - y) & lay.guards
+    return ge - (ge >> (FIELD_BITS - 1))
+
+
+def _field_min(x, y, lay):
+    mask = _ge_mask(x, y, lay)
+    return (y & mask) | (x & ~mask)
+
+
+def _field_max(x, y, lay):
+    mask = _ge_mask(x, y, lay)
+    return (x & mask) | (y & ~mask)
+
+
+def _field_common(x, y, lay):
+    """The fields of x that equal those of y, the others zero."""
+    nonzero = ((x ^ y) + lay.guards - lay.ones) & lay.guards
+    same = lay.guards ^ nonzero
+    return x & (same - (same >> (FIELD_BITS - 1)))
+
+
 class ChartPolynomial:
     """Sparse polynomial in the 2n chart coordinates over Gaussian rationals.
 
-    `terms` maps an exponent tuple of length 2n to a nonzero coefficient.
-    The zero polynomial has an empty term map.
+    Held as (1/d) * sum (a + b*i) x^e: a dict from the packed key of each
+    exponent e to the Gaussian-integer pair (a, b), none (0, 0), over one
+    denominator d > 0 with gcd(d, every a, every b) = 1, so equal values have
+    equal fields.  The zero polynomial has no terms and d = 1.
+
+    The constructor takes {exponent tuple: coefficient} and `terms` gives
+    that form back as a read-only view; the arithmetic reads neither.  An
+    exponent at or above EXPONENT_LIMIT raises ExprError.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_t", "_d")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = terms if terms is not None else {}
+        coeffs = {}
+        for exp, c in (terms or {}).items():
+            c = GaussianRational.coerce(c)
+            if c:
+                coeffs[_pack(exp, nvars)] = c
+        # over the lcm of reduced denominators the pairs share no factor with d
+        d = math.lcm(*(c.d for c in coeffs.values()))
+        self._t = {k: (c.a * (d // c.d), c.b * (d // c.d)) for k, c in coeffs.items()}
+        self._d = d
 
     @staticmethod
     def zero(nvars):
-        return ChartPolynomial(nvars)
+        return _poly(nvars, {}, 1)
 
     @staticmethod
     def constant(nvars, value):
         value = GaussianRational.coerce(value)
         if value.is_zero():
-            return ChartPolynomial(nvars)
-        return ChartPolynomial(nvars, {(0,) * nvars: value})
+            return _poly(nvars, {}, 1)
+        return _poly(nvars, {0: (value.a, value.b)}, value.d)
 
     @staticmethod
     def one(nvars):
-        return ChartPolynomial.constant(nvars, 1)
+        return _poly(nvars, {0: (1, 0)}, 1)
 
     @staticmethod
     def variable(nvars, index):
         if not 0 <= index < nvars:
             raise ExprError(f"variable index {index} out of range for {nvars} coordinates")
-        exp = [0] * nvars
-        exp[index] = 1
-        return ChartPolynomial(nvars, {tuple(exp): GR_ONE})
+        return _poly(nvars, {1 << _LAYOUTS[nvars].shifts[index]: (1, 0)}, 1)
+
+    @property
+    def terms(self):
+        """{exponent tuple: GaussianRational}, as a view built on reading."""
+        return _Terms(self)
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def is_constant(self):
-        if not self.terms:
-            return True
-        return len(self.terms) == 1 and not any(next(iter(self.terms)))
+        t = self._t
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
-        if not self.terms:
-            return GR_ZERO
-        return self.terms.get((0,) * self.nvars, GR_ZERO)
+        pair = self._t.get(0)
+        return GR_ZERO if pair is None else _make(pair[0], pair[1], self._d)
 
     def __eq__(self, other):
         if not isinstance(other, ChartPolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._d, frozenset(self._t.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero():
-                    del out[exp]
-                else:
-                    out[exp] = s
-        return ChartPolynomial(self.nvars, out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = -coeff
-            else:
-                s = cur - coeff
-                if s.is_zero():
-                    del out[exp]
-                else:
-                    out[exp] = s
-        return ChartPolynomial(self.nvars, out)
+        return _sum(self, other, -1)
 
     def __neg__(self):
-        return ChartPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {k: (-a, -b) for k, (a, b) in self._t.items()}, self._d)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return ChartPolynomial(self.nvars)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = out.get(exp)
-                if cur is None:
-                    out[exp] = prod
-                else:
-                    s = cur + prod
-                    if s.is_zero():
-                        del out[exp]
+        t1, t2 = self._t, other._t
+        if not t1 or not t2:
+            return _poly(self.nvars, {}, 1)
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
+        shifted = True
+        if len(t1) == 1:
+            # a one-term side shifts and scales the other: no sums arise
+            ((k1, (a1, b1)),) = t1.items()
+            shifted = k1 != 0
+            if b1:
+                out = {k1 + k: (a1 * a - b1 * b, a1 * b + b1 * a) for k, (a, b) in t2.items()}
+            elif a1 != 1:
+                out = {k1 + k: (a1 * a, a1 * b) for k, (a, b) in t2.items()}
+            elif k1:
+                out = {k1 + k: pair for k, pair in t2.items()}
+            else:
+                out = t2
+        else:
+            out = {}
+            get = out.get
+            for k1, (a1, b1) in t1.items():
+                for k2, (a2, b2) in t2.items():
+                    k = k1 + k2
+                    if b1:
+                        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                     else:
-                        out[exp] = s
-        return ChartPolynomial(self.nvars, out)
+                        a, b = a1 * a2, a1 * b2
+                    cur = get(k)
+                    if cur is not None:
+                        a += cur[0]
+                        b += cur[1]
+                        if not a and not b:
+                            del out[k]
+                            continue
+                    out[k] = (a, b)
+        if shifted:
+            # a product key has each field below 2 * EXPONENT_LIMIT, so it is
+            # exact until read: checking the keys kept is enough
+            _check_keys(_keys_bits(out), self.nvars)
+        return _reduced(self.nvars, out, self._d * other._d)
 
     def scale(self, value):
         value = GaussianRational.coerce(value)
-        if value.is_zero():
-            return ChartPolynomial(self.nvars)
-        return ChartPolynomial(self.nvars, {e: c * value for e, c in self.terms.items()})
+        va, vb = value.a, value.b
+        if not va and not vb:
+            return _poly(self.nvars, {}, 1)
+        t = self._t
+        if vb:
+            out = {k: (a * va - b * vb, a * vb + b * va) for k, (a, b) in t.items()}
+        elif va != 1:
+            out = {k: (a * va, b * va) for k, (a, b) in t.items()}
+        elif value.d == 1:
+            return self
+        else:
+            out = t
+        return _reduced(self.nvars, out, self._d * value.d)
 
     def __pow__(self, k):
         # repeated multiplication: squaring a dense power costs more term
@@ -327,66 +446,97 @@ class ChartPolynomial:
         return result
 
     def derivative(self, index):
+        shift = _LAYOUTS[self.nvars].shifts[index]
+        unit = 1 << shift
         out = {}
-        for exp, coeff in self.terms.items():
-            e = exp[index]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[index] = e - 1
-            out[tuple(new)] = coeff * e
-        return ChartPolynomial(self.nvars, out)
+        for k, (a, b) in self._t.items():
+            e = (k >> shift) & _FIELD
+            if e:
+                out[k - unit] = (a * e, b * e)
+        return _reduced(self.nvars, out, self._d)
 
     def conjugate(self):
-        n = self.nvars // 2
-        out = {}
-        for exp, coeff in self.terms.items():
-            swapped = exp[n:] + exp[:n]
-            out[swapped] = coeff.conjugate()
-        return ChartPolynomial(self.nvars, out)
+        half = FIELD_BITS * (self.nvars // 2)
+        low = (1 << half) - 1
+        return _poly(
+            self.nvars,
+            {((k & low) << half) | (k >> half): (a, -b) for k, (a, b) in self._t.items()},
+            self._d,
+        )
 
     def leading(self):
         """(exponent, coefficient) of the lexicographically greatest term."""
-        exp = max(self.terms)
-        return exp, self.terms[exp]
+        key = max(self._t)
+        a, b = self._t[key]
+        return _unpack(key, self.nvars), _make(a, b, self._d)
 
     def exact_div(self, divisor):
-        """Quotient self/divisor if the division is exact, else None."""
-        if divisor.is_zero():
+        """Quotient self/divisor if the division is exact, else None.
+
+        Long division on the integer pairs: each step divides the remainder's
+        leading pair by the divisor's leading pair L, multiplying by its
+        conjugate and dividing by its norm; when the norm does not divide,
+        the remainder and the quotient so far are first multiplied by it, so
+        both stay integer pairs over one running denominator."""
+        dt = divisor._t
+        if not dt:
             raise ExprDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return ChartPolynomial(self.nvars)
-        lead_exp, lead_coeff = divisor.leading()
-        rem = dict(self.terms)
-        out = {}
+        if not self._t:
+            return _poly(self.nvars, {}, 1)
+        guards = _LAYOUTS[self.nvars].guards
+        lead = max(dt)
+        la, lb = dt[lead]
+        if lb:
+            wa, wb, norm = la, -lb, la * la + lb * lb
+        else:
+            wa, wb, norm = (1 if la > 0 else -1), 0, abs(la)
+        rem, out, den = dict(self._t), {}, 1
         while rem:
-            rexp = max(rem)
-            rcoeff = rem[rexp]
-            qexp = tuple(a - b for a, b in zip(rexp, lead_exp))
-            if any(e < 0 for e in qexp):
-                return None
-            qcoeff = rcoeff / lead_coeff
-            out[qexp] = qcoeff
-            for dexp, dcoeff in divisor.terms.items():
-                exp = tuple(a + b for a, b in zip(qexp, dexp))
-                cur = rem.get(exp, GR_ZERO)
-                s = cur - qcoeff * dcoeff
-                if s.is_zero():
-                    rem.pop(exp, None)
+            rk = max(rem)
+            qk = (rk | guards) - lead
+            if qk & guards != guards:
+                return None  # an exponent of the quotient would be negative
+            qk ^= guards
+            ra, rb = rem[rk]
+            qa, qb = ra * wa - rb * wb, ra * wb + rb * wa
+            if qa % norm or qb % norm:
+                rem = {k: (a * norm, b * norm) for k, (a, b) in rem.items()}
+                out = {k: (a * norm, b * norm) for k, (a, b) in out.items()}
+                den *= norm
+            else:
+                qa //= norm
+                qb //= norm
+            out[qk] = (qa, qb)
+            for dk, (da, db) in dt.items():
+                k = qk + dk
+                if k & guards:
+                    raise ExprError(f"an exponent reached the limit {EXPONENT_LIMIT}")
+                a, b = rem.get(k, (0, 0))
+                a -= qa * da - qb * db
+                b -= qa * db + qb * da
+                if a or b:
+                    rem[k] = (a, b)
                 else:
-                    rem[exp] = s
-        return ChartPolynomial(self.nvars, out)
+                    rem.pop(k, None)
+        # self/divisor = (out/den) * divisor._d / self._d
+        dd = divisor._d
+        if dd != 1:
+            out = {k: (a * dd, b * dd) for k, (a, b) in out.items()}
+        return _reduced(self.nvars, out, den * self._d)
 
     def render(self):
-        if not self.terms:
+        t = self._t
+        if not t:
             return "0"
-        n = self.nvars // 2
+        nvars, d = self.nvars, self._d
+        n = nvars // 2
         pieces = []
-        for exp in sorted(self.terms, reverse=True):
-            coeff = self.terms[exp]
+        for key in sorted(t, reverse=True):
+            a, b = t[key]
+            coeff = _make(a, b, d)
             mono = "*".join(
                 var_name(i, n) + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
+                for i, e in enumerate(_unpack(key, nvars))
                 if e > 0
             )
             text, atomic = coeff.render()
@@ -418,6 +568,91 @@ class ChartPolynomial:
         return f"<ChartPolynomial {self.render()}>"
 
 
+class _Terms(Mapping):
+    """The read-only {exponent tuple: GaussianRational} view of a polynomial."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, poly):
+        self._p = poly
+
+    def __len__(self):
+        return len(self._p._t)
+
+    def __iter__(self):
+        nvars = self._p.nvars
+        return (_unpack(k, nvars) for k in self._p._t)
+
+    def __getitem__(self, exp):
+        p = self._p
+        try:
+            a, b = p._t[_pack(exp, p.nvars)]
+        except ExprError:
+            raise KeyError(exp) from None
+        return _make(a, b, p._d)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _poly(nvars, t, d):
+    """The ChartPolynomial with term dict t over d, taken as reduced."""
+    out = object.__new__(ChartPolynomial)
+    out.nvars = nvars
+    out._t = t
+    out._d = d
+    return out
+
+
+def _reduced(nvars, t, d):
+    """The ChartPolynomial t/d after one content pass: the gcd of d and
+    every pair is divided out."""
+    if d != 1:
+        if not t:
+            d = 1
+        else:
+            g = d
+            for a, b in t.values():
+                g = math.gcd(g, a, b)
+                if g == 1:
+                    break
+            if g != 1:
+                d //= g
+                t = {k: (a // g, b // g) for k, (a, b) in t.items()}
+    return _poly(nvars, t, d)
+
+
+def _sum(p, q, sign):
+    """p + sign * q for sign = +-1."""
+    t1, t2 = p._t, q._t
+    if not t2:
+        return p
+    if not t1:
+        return q if sign > 0 else -q
+    d1, d2 = p._d, q._d
+    if d1 == d2:
+        f1, f2, d = 1, sign, d1
+    else:
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+        d = d1 * f1
+    out = dict(t1) if f1 == 1 else {k: (a * f1, b * f1) for k, (a, b) in t1.items()}
+    get = out.get
+    for k, (a, b) in t2.items():
+        if f2 != 1:
+            a *= f2
+            b *= f2
+        cur = get(k)
+        if cur is not None:
+            a += cur[0]
+            b += cur[1]
+            if not a and not b:
+                del out[k]
+                continue
+        out[k] = (a, b)
+    return _reduced(p.nvars, out, d)
+
+
 _FACTORS = {}
 _BASES = {}
 _ZERO_CACHE = {}
@@ -425,73 +660,76 @@ _ONE_CACHE = {}
 
 
 def _chain_divider(factor):
-    """Linear-time divider by a pure binomial c1 X^s + c2 (no common
-    monomial factor); None for any other factor.
+    """Linear-time divider by a monic binomial X^s + c with c a Gaussian
+    integer (no common monomial factor); None for any other factor.
 
     The exponents of poly fall into chains m, m + s, m + 2s, ..., and along
-    a chain the quotient obeys q_k = p_k / c2 + t q_(k-1) with t = -c1/c2.
-    The division is exact when the step past the top of every chain gives
-    zero.
+    a chain, from the top down, the quotient obeys q_(k-1) = p_k - c q_k
+    with q_top = 0: integer pairs in, integer pairs out.  The division is
+    exact when the bottom of every chain gives p_0 = c q_0.  X^s + c is
+    primitive, so the quotient's pairs share no factor with poly's
+    denominator and need no content pass.
     """
-    if len(factor.terms) != 2:
+    t = factor._t
+    if len(t) != 2 or 0 not in t or factor._d != 1:
         return None
-    (shift, c1), (e2, c2) = sorted(factor.terms.items(), reverse=True)
-    if any(e2) or not any(shift):
+    s = max(t)
+    if t[s] != (1, 0):
         return None
-    inv_c2 = c2.inverse()
-    t = -(c1 * inv_c2)
-    if t == GR_ONE:
-        step = operator.add
-    elif t == -GR_ONE:
-        step = operator.sub
-    else:
-        def step(p, q):
-            return p + t * q
+    ca, cb = t[0]
+    (shift0, e0), *rest = ((shift, e) for shift in _LAYOUTS[factor.nvars].shifts
+                           if (e := (s >> shift) & _FIELD))
 
     def divide(poly):
-        if inv_c2 != GR_ONE:
-            poly = poly.scale(inv_c2)
         chains = {}
-        for exp, coeff in poly.terms.items():
-            k = min(e // s for e, s in zip(exp, shift) if s)
-            if k:
-                exp = tuple(e - k * si for e, si in zip(exp, shift))
-            chains.setdefault(exp, {})[k] = coeff
+        for k, pair in poly._t.items():
+            # the chain index: the most times X^s divides x^k
+            j = ((k >> shift0) & _FIELD) // e0
+            for shift, e in rest:
+                i = ((k >> shift) & _FIELD) // e
+                if i < j:
+                    j = i
+            chains.setdefault(k - j * s, {})[j] = pair
         out = {}
         for start, chain in chains.items():
-            q = GR_ZERO
-            for k in range(max(chain) + 1):
-                p = chain.get(k)
-                if q:
-                    q = step(GR_ZERO if p is None else p, q)
-                elif p is None:
-                    continue
+            qa = qb = 0
+            for j in range(max(chain), 0, -1):
+                pa, pb = chain.get(j, (0, 0))
+                if cb:
+                    qa, qb = pa - (ca * qa - cb * qb), pb - (ca * qb + cb * qa)
                 else:
-                    q = p
-                if q:
-                    out[tuple(e + k * si for e, si in zip(start, shift))] = q
-            if q:
+                    qa, qb = pa - ca * qa, pb - ca * qb
+                if qa or qb:
+                    out[start + (j - 1) * s] = (qa, qb)
+            pa, pb = chain.get(0, (0, 0))
+            if pa != ca * qa - cb * qb or pb != ca * qb + cb * qa:
                 return None
-        return ChartPolynomial(poly.nvars, out)
+        return _poly(poly.nvars, out, poly._d)
 
     return divide
 
 
 def _monomial_content(poly):
-    """The exponent of the largest monomial dividing every term of poly."""
-    common = None
-    for exp in poly.terms:
-        common = exp if common is None else tuple(map(min, common, exp))
-        if not any(common):
-            break
+    """The packed exponent of the largest monomial dividing every term of
+    poly; 0 for the zero polynomial."""
+    keys = iter(poly._t)
+    common = next(keys, 0)
+    if common:
+        lay = _LAYOUTS[poly.nvars]
+        for k in keys:
+            common = _field_min(common, k, lay)
+            if not common:
+                break
     return common
 
 
 def _shifted(poly, delta):
-    """poly times the monomial x^delta; delta may lower exponents it divides."""
-    return ChartPolynomial(
-        poly.nvars, {tuple(map(operator.add, exp, delta)): c for exp, c in poly.terms.items()}
-    )
+    """poly times the monomial with packed exponent delta; a negative delta
+    lowers the exponents by -delta, which must divide every term."""
+    t = {k + delta: pair for k, pair in poly._t.items()}
+    if delta > 0:
+        _check_keys(_keys_bits(t), poly.nvars)
+    return _poly(poly.nvars, t, poly._d)
 
 
 def _monic(poly):
@@ -509,7 +747,7 @@ class _Factor:
     def __init__(self, poly):
         if poly.is_constant():
             raise ExprError("factor base entries must be non-constant")
-        if any(_monomial_content(poly)):
+        if _monomial_content(poly):
             raise ExprError(f"factor base entry {poly.render()!r} has a monomial factor")
         monic, _ = _monic(poly)
         self.monic = monic
@@ -581,7 +819,7 @@ def _new(num, mono, exps, base):
 
 
 def _zero(nvars, base):
-    return _new(ChartPolynomial(nvars), (0,) * nvars, base.zeros, base)
+    return _new(_poly(nvars, {}, 1), 0, base.zeros, base)
 
 
 def _added(t1, t2):
@@ -590,16 +828,24 @@ def _added(t1, t2):
     return t1 if not any(t2) else tuple(map(operator.add, t1, t2))
 
 
+def _mono_product(m1, m2, nvars):
+    """The packed exponent of x^m1 * x^m2."""
+    if not m1 or not m2:
+        return m1 or m2
+    _check_keys(m1 + m2, nvars)
+    return m1 + m2
+
+
 def _cancel(num, mono, exps, factors, most_mono, most_exps):
     """Divide num by the coordinates and base factors it shares with the
-    denominator x^mono * prod b_i^exps_i, by x_j at most most_mono[j] times
-    and by b_i at most most_exps[i] times; returns num and the lowered
+    denominator x^mono * prod b_i^exps_i, by x_j at most most_mono's field j
+    times and by b_i at most most_exps[i] times; returns num and the lowered
     exponents.  Only the numerator is ever divided."""
-    if any(most_mono):
-        common = tuple(map(min, most_mono, _monomial_content(num)))
-        if any(common):
-            num = _shifted(num, tuple(-c for c in common))
-            mono = tuple(map(operator.sub, mono, common))
+    if most_mono:
+        common = _field_min(most_mono, _monomial_content(num), _LAYOUTS[num.nvars])
+        if common:
+            num = _shifted(num, -common)
+            mono -= common
     if any(most_exps):
         exps = list(exps)
         for i, most in enumerate(most_exps):
@@ -619,7 +865,7 @@ class ChartExpr:
     """Rational function num/den in the chart coordinates.
 
     The denominator is held factored, as x^m * prod_i b_i^(e_i): m is the
-    exponent tuple of a coordinate monomial and e is aligned with the
+    packed exponent of a coordinate monomial and e is aligned with the
     factor base `base` (each b_i taken monic).  The numerator shares no
     coordinate and no base factor with the denominator.  `den` expands the
     product on each read, with leading coefficient 1.
@@ -634,7 +880,7 @@ class ChartExpr:
 
     def __init__(self, num, den=None, base=()):
         base = factor_base(base)
-        mono, exps = (0,) * num.nvars, base.zeros
+        mono, exps = 0, base.zeros
         if den is not None and den.is_zero():
             raise ExprDivisionError("zero denominator")
         if den is not None and not num.is_zero():
@@ -642,8 +888,8 @@ class ChartExpr:
             # is left must divide num, then num is divided by what it shares
             # with the factored part
             mono = _monomial_content(den)
-            if any(mono):
-                den = _shifted(den, tuple(-m for m in mono))
+            if mono:
+                den = _shifted(den, -mono)
             exps = []
             for fac in base.factors:
                 e = 0
@@ -714,8 +960,8 @@ class ChartExpr:
             if e:
                 out = fac.power(e) if out is None else out * fac.power(e)
         if out is None:
-            out = ChartPolynomial(self.num.nvars, {self._mono: GR_ONE})
-        elif any(self._mono):
+            out = _poly(self.num.nvars, {self._mono: (1, 0)}, 1)
+        elif self._mono:
             out = _shifted(out, self._mono)
         return out
 
@@ -723,7 +969,7 @@ class ChartExpr:
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return not any(self._mono) and not any(self._exps)
+        return not self._mono and not any(self._exps)
 
     def is_constant(self):
         return self.num.is_constant() and self.is_polynomial()
@@ -773,12 +1019,13 @@ class ChartExpr:
             # over the lcm of the factored parts, each side times its cofactor;
             # where the two exponents differ, one side keeps a factor the other
             # lacks, so only equal exponents can cancel
-            mono = tuple(map(max, a._mono, b._mono))
+            lay = _LAYOUTS[a.num.nvars]
+            mono = _field_max(a._mono, b._mono, lay)
             exps = tuple(map(max, a._exps, b._exps))
             na = a._cofactor(mono, exps)
             nb = b._cofactor(mono, exps)
             num = na - nb if subtract else na + nb
-            most_mono = tuple(x if x == y else 0 for x, y in zip(a._mono, b._mono))
+            most_mono = _field_common(a._mono, b._mono, lay)
             most_exps = tuple(x if x == y else 0 for x, y in zip(a._exps, b._exps))
         if num.is_zero():
             return _zero(num.nvars, base)
@@ -790,7 +1037,8 @@ class ChartExpr:
         multiple of this value's own."""
         num = self.num
         if mono != self._mono:
-            num = _shifted(num, tuple(map(operator.sub, mono, self._mono)))
+            # mono is at least self._mono in every field, so no field borrows
+            num = _shifted(num, mono - self._mono)
         for fac, e, own in zip(self.base.factors, exps, self._exps):
             if e != own:
                 num = num * fac.power(e - own)
@@ -828,7 +1076,7 @@ class ChartExpr:
         factors = base.factors
         n1, m2, e2 = _cancel(a.num, b._mono, b._exps, factors, b._mono, b._exps)
         n2, m1, e1 = _cancel(b.num, a._mono, a._exps, factors, a._mono, a._exps)
-        return _new(n1 * n2, _added(m1, m2), _added(e1, e2), base)
+        return _new(n1 * n2, _mono_product(m1, m2, a.num.nvars), _added(e1, e2), base)
 
     def scale(self, value):
         value = GaussianRational.coerce(value)
@@ -877,13 +1125,17 @@ class ChartExpr:
             raise ExprError(f"coordinate index {index} out of range")
         num, mono, exps, base = self.num, self._mono, self._exps, self.base
         dnum = num.derivative(index)
+        if not mono and not any(exps):
+            return _new(dnum, 0, exps, base) if dnum._t else _zero(self.nvars, base)
         factors = base.factors
         # the factors of the denominator D that involve x_index, with their
         # derivatives times their exponents
-        involved = tuple(bool(e and fac.derivatives[index].terms) for fac, e in zip(factors, exps))
-        parts = [(fac.monic, fac.derivatives[index].scale(GaussianRational(e)))
+        involved = tuple(bool(e) and not fac.derivatives[index].is_zero()
+                         for fac, e in zip(factors, exps))
+        parts = [(fac.monic, fac.derivatives[index].scale(e))
                  for fac, e, inv in zip(factors, exps, involved) if inv]
-        mk = mono[index]
+        shift = _LAYOUTS[self.nvars].shifts[index]
+        mk = (mono >> shift) & _FIELD
         if mk:
             parts.append((ChartPolynomial.variable(self.nvars, index),
                           ChartPolynomial.constant(self.nvars, mk)))
@@ -907,11 +1159,11 @@ class ChartExpr:
         new = dnum * prod - num * logsum
         if new.is_zero():
             return _zero(self.nvars, base)
-        most_mono = tuple(0 if j == index else m for j, m in enumerate(mono))
         most_exps = tuple(0 if inv else e for e, inv in zip(exps, involved))
-        new, mono, exps = _cancel(new, mono, exps, factors, most_mono, most_exps)
+        new, mono, exps = _cancel(new, mono, exps, factors, mono & ~(_FIELD << shift), most_exps)
         # the parts' exponents were left alone; each goes up by one
-        mono = tuple(m + (j == index and m > 0) for j, m in enumerate(mono))
+        if mk:
+            mono = _mono_product(mono, 1 << shift, self.nvars)
         return _new(new, mono, tuple(map(operator.add, exps, involved)), base)
 
     def conjugate(self):
@@ -984,11 +1236,11 @@ def _tokenize(text):
 
 
 def _degree(poly):
-    return max((sum(exp) for exp in poly.terms), default=0)
+    return max((sum(_unpack(k, poly.nvars)) for k in poly._t), default=0)
 
 
 def _sizes(expr):
-    return len(expr.num.terms), len(expr.den.terms)
+    return len(expr.num._t), len(expr.den._t)
 
 
 def _cap_terms(bound, pos):

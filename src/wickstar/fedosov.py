@@ -467,7 +467,7 @@ def closed_form_flat(chart, f, g, kind, N):
                     if dff.is_zero() or dgg.is_zero():
                         continue
                     nxt.append((dff, dgg, (factor * gkl).scale(
-                        GaussianRational(Fraction(1, level)) * coupling
+                        GaussianRational.ratio(1, level) * coupling
                     )))
         if not nxt:
             break
@@ -633,7 +633,7 @@ def _bernoulli_series_apply(data, h, y, out_trunc):
     while not term.is_zero() and j <= data.K:
         j += 1
         term = weyl.ad_over_nu(h, term, data.kind, data.chart, out_trunc).scale(
-            GaussianRational(Fraction(1, j))
+            GaussianRational.ratio(1, j)
         )
         if term.is_zero():
             break
@@ -657,7 +657,7 @@ def _exp_ad_sigma(data, h, x, N, sign=1):
     while not term.is_zero() and j <= data.K:
         j += 1
         term = weyl.ad_over_nu(h, term, data.kind, data.chart, out_trunc).scale(
-            GaussianRational(Fraction(sign, j))
+            GaussianRational.ratio(sign, j)
         )
         total = total + weyl.sigma(term)
     return weyl.to_nu_series(total, N)

@@ -461,33 +461,50 @@ def _contraction_steps(kind, chart, m1, m2):
 def _pair_contractions(kind, chart, m1, m2):
     """All contraction states of a sym pair, memoized on the chart.
 
-    Returns a list of (level, m1', m2', factor) with the 1/level! of the
-    exponential already folded into the factor.  Level 0 is the pointwise
-    term with factor 1.  The states depend only on the multiplicity
-    vectors, so the table is shared across all coefficient arithmetic.
+    Returns a list of (level, sym, factor): sym is the symmetric word the
+    pair leaves, m1' + m2', and the factor has the 1/level! of the
+    exponential folded in.  A factor is None when it is 1, which is the
+    pointwise level-0 state, a GaussianRational when it is another constant
+    and a ChartExpr otherwise, so the pair loop multiplies only by the
+    factors that vary.  The states depend only on the multiplicity vectors,
+    so the table is shared across all coefficient arithmetic.
     """
     memo = chart.contraction_memo((kind, "pairs"))
     key = (m1, m2)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    one = ChartExpr.one(chart.n)
-    states = {(m1, m2): one}
-    result = [(0, m1, m2, one)]
+    states = {(m1, m2): ChartExpr.one(chart.n)}
+    result = [(0, _sym_sum(m1, m2), None)]
     level = 0
     while states:
         level += 1
         nxt = {}
         for (u, v), factor in states.items():
             for nu_, nv, coupling, mult in _contraction_steps(kind, chart, u, v):
-                add = (factor * coupling).scale(GaussianRational(Fraction(mult, level)))
+                add = (factor * coupling).scale(GaussianRational.ratio(mult, level))
                 cur = nxt.get((nu_, nv))
                 nxt[(nu_, nv)] = add if cur is None else cur + add
         states = {k: f for k, f in nxt.items() if not f.is_zero()}
         for (u, v), factor in states.items():
-            result.append((level, u, v, factor))
+            if factor.is_constant():
+                factor = factor.constant_value()
+            result.append((level, _sym_sum(u, v), factor))
     memo[key] = result
     return result
+
+
+def _sym_sum(m1, m2):
+    return tuple(x + y for x, y in zip(m1, m2))
+
+
+def _times_factor(c, factor):
+    """c times a contraction factor of `_pair_contractions`."""
+    if factor is None:
+        return c
+    if type(factor) is GaussianRational:
+        return c.scale(factor)
+    return c * factor
 
 
 def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
@@ -498,9 +515,10 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
     sign of the swapped antisymmetric words, which cancels the Koszul sign,
     so each pair contributes  wedge_sign * c1*c2 * (forward - backward)
     contraction factors.  Their level-0 pointwise parts cancel exactly and
-    are skipped.  Contractions keep the total degree of a pair, so pairs
-    beyond the output truncation (raised by 2 when dividing by nu) are never
-    formed.  A nu^0 term left after the division means the pointwise parts
+    are skipped.  A factor of 1, the level 0 of a product, is not
+    multiplied, and a constant factor only scales c1*c2.  Contractions keep
+    the total degree of a pair, so pairs beyond the output truncation
+    (raised by 2 when dividing by nu) are never formed.  A nu^0 term left after the division means the pointwise parts
     did not cancel.
     """
     if kind not in KINDS:
@@ -523,13 +541,11 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
             if sign < 0:
                 cc = -cc
             p = p1 + p2 - shift
-            for level, u, v, factor in _pair_contractions(kind, chart, m1, m2)[first:]:
-                sym = tuple(x + y for x, y in zip(u, v))
-                out._add(p + level, sym, mask, cc * factor)
+            for level, sym, factor in _pair_contractions(kind, chart, m1, m2)[first:]:
+                out._add(p + level, sym, mask, _times_factor(cc, factor))
             if commutator:
-                for level, u, v, factor in _pair_contractions(kind, chart, m2, m1)[1:]:
-                    sym = tuple(x + y for x, y in zip(u, v))
-                    out._add(p + level, sym, mask, -(cc * factor))
+                for level, sym, factor in _pair_contractions(kind, chart, m2, m1)[1:]:
+                    out._add(p + level, sym, mask, -_times_factor(cc, factor))
     if over_nu and any(p < 0 for p, _, _ in out.terms):
         raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
     return out
@@ -597,7 +613,7 @@ def full_contraction_value(m1, m2, kind, chart):
             sub = full_contraction_value(nm1, nm2, kind, chart)
             if sub.is_zero():
                 continue
-            value = value + (coupling * sub).scale(GaussianRational(Fraction(mult, l1)))
+            value = value + (coupling * sub).scale(GaussianRational.ratio(mult, l1))
     memo[key] = value
     return value
 
@@ -651,7 +667,10 @@ def sigma_circ(a, b, kind, chart, max_nu):
                 value = memo.get((m1, m2))
                 if value is None:
                     value = full_contraction_value(m1, m2, kind, chart)
-                if not value.is_zero():
+                if value.is_constant():
+                    if not value.is_zero():
+                        out._add(low + p2, zero_sym, 0, (c1 * c2).scale(value.constant_value()))
+                else:
                     out._add(low + p2, zero_sym, 0, c1 * c2 * value)
     return out
 
@@ -685,7 +704,7 @@ def _delta_inv(a, lo, hi):
         total = sum(sym[lo:hi]) + bin(bits).count("1")
         if total == 0:
             continue
-        inv = GaussianRational(Fraction(1, total))
+        inv = GaussianRational.ratio(1, total)
         for j in _iter_bits(bits):
             nm = list(sym)
             nm[j] += 1
@@ -908,7 +927,7 @@ def fib_equiv_S(a, chart, direction="forward"):
     while True:
         level += 1
         power = delta_fib(power, chart).scale(coupling).scale(
-            GaussianRational(Fraction(1, level))
+            GaussianRational.ratio(1, level)
         )
         if power.is_zero():
             break
