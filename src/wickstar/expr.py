@@ -655,7 +655,6 @@ def _sum(p, q, sign):
 
 _FACTORS = {}
 _BASES = {}
-_ZERO_CACHE = {}
 _ONE_CACHE = {}
 
 
@@ -782,6 +781,7 @@ class _FactorBase(tuple):
         self = super().__new__(cls, polys)
         self.factors = tuple(_factor(b) for b in self)
         self.zeros = (0,) * len(self)
+        self.zero_values = {}
         for i, fi in enumerate(self.factors):
             for j, fj in enumerate(self.factors):
                 if i == j:
@@ -819,7 +819,12 @@ def _new(num, mono, exps, base):
 
 
 def _zero(nvars, base):
-    return _new(_poly(nvars, {}, 1), 0, base.zeros, base)
+    """The zero over `base`, one shared value per number of coordinates:
+    values are immutable."""
+    hit = base.zero_values.get(nvars)
+    if hit is None:
+        hit = base.zero_values[nvars] = _new(_poly(nvars, {}, 1), 0, base.zeros, base)
+    return hit
 
 
 def _added(t1, t2):
@@ -920,11 +925,7 @@ class ChartExpr:
 
     @staticmethod
     def zero(n):
-        hit = _ZERO_CACHE.get(n)
-        if hit is None:
-            hit = ChartExpr(ChartPolynomial.zero(2 * n))
-            _ZERO_CACHE[n] = hit
-        return hit
+        return _zero(2 * n, factor_base(()))
 
     @staticmethod
     def one(n):
@@ -1092,6 +1093,8 @@ class ChartExpr:
             return self.scale(value.inverse())
         if other.is_zero():
             raise ExprDivisionError("division by zero expression")
+        if other.is_constant():
+            return self.scale(other.constant_value().inverse())
         base = self._join_base(other)
         a = self._over(base)
         # the divisor's numerator goes through the constructor, which splits
@@ -1124,9 +1127,12 @@ class ChartExpr:
         if not 0 <= index < self.nvars:
             raise ExprError(f"coordinate index {index} out of range")
         num, mono, exps, base = self.num, self._mono, self._exps, self.base
-        dnum = num.derivative(index)
         if not mono and not any(exps):
+            if num.is_constant():
+                return _zero(self.nvars, base)
+            dnum = num.derivative(index)
             return _new(dnum, 0, exps, base) if dnum._t else _zero(self.nvars, base)
+        dnum = num.derivative(index)
         factors = base.factors
         # the factors of the denominator D that involve x_index, with their
         # derivatives times their exponents
@@ -1240,7 +1246,8 @@ def _degree(poly):
 
 
 def _sizes(expr):
-    return len(expr.num._t), len(expr.den._t)
+    """Term counts of the numerator and of the expanded denominator."""
+    return len(expr.num._t), 1 if expr.is_polynomial() else len(expr.den._t)
 
 
 def _cap_terms(bound, pos):
@@ -1296,7 +1303,9 @@ class _Parser:
             op, _, pos = self.advance()
             right = self.product()
             (an, ad), (bn, bd) = _sizes(left), _sizes(right)
-            same_den = left.den == right.den
+            # every value of the parse is over the parser's base, where equal
+            # denominators have equal exponents
+            same_den = left._mono == right._mono and left._exps == right._exps
             _cap_terms(an + bn if same_den else max(an * bd + bn * ad, ad * bd), pos)
             left = left + right if op == "+" else left - right
         return left

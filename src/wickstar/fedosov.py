@@ -128,12 +128,17 @@ def bernoulli(k):
 class FedosovData:
     """Product kind, chart, input data and the computed connection element.
 
-    Immutable after construction apart from `tau_cache`, a memo table from
-    serialized functions to the tuple of homogeneous parts of tau(f)
-    computed so far, of degree 0..len(parts)-1.  A request for a higher
-    degree extends the parts and stores a longer tuple; concurrent duplicate
-    recomputation is harmless because entries are value determined.  The
-    connection element is always checked against its defining equations
+    Immutable after construction apart from three memo tables, whose
+    entries are value determined, so concurrent duplicate recomputation is
+    harmless:
+    - `tau_cache` maps serialized functions to the tuple of homogeneous
+      parts of tau(f) computed so far, of degree 0..len(parts)-1.  A request
+      for a higher degree extends the parts and stores a longer tuple.
+    - `_nabla_ops` and `_ad_ops` are the operator tables of the tau step
+      (`_tau_step`), keyed by the sym multiset m of a tau term and by (l, m).
+      They are filled on first use and bounded by the multisets of degree
+      <= K.
+    The connection element is always checked against its defining equations
     (`verify_r`).
     """
 
@@ -156,6 +161,8 @@ class FedosovData:
         self.s = (s if s is not None else WeylElement.zero(chart.n)).truncate(K)
         self._validate_s(allow_sym_degree_one)
         self.tau_cache = {}
+        self._nabla_ops = {}
+        self._ad_ops = {}
         self.r_parts = {}
         self.r = self._compute_r()
         self.verify_r()
@@ -247,6 +254,85 @@ class FedosovData:
         if mn is not None and mn < 2:
             raise ContractViolation("connection element has total degree < 2")
 
+    # -- the operator tables of the tau step -----------------------------------------
+
+    def _nabla_op(self, m):
+        """The Christoffel part of nabla followed by delta_inv, without the
+        1/|sym'| of delta_inv, on a term of sym m and no antisymmetric
+        symbols: a list of (sym', factor) sending coefficient c to c * factor.
+
+        Along Z_k, each dz^a of m becomes -Gamma^a_{kl} dz^l, and delta_inv
+        turns the wedged dz^k into a dz^k of the sym word; likewise along
+        Zb_k with the barred symbols."""
+        hit = self._nabla_ops.get(m)
+        if hit is None:
+            n = self.chart.n
+            acc = {}
+            for offset, gamma in ((0, self.conn.christoffel), (n, self.conn.christoffel_bar)):
+                for a in range(n):
+                    e = m[offset + a]
+                    if not e:
+                        continue
+                    for k in range(n):
+                        for l in range(n):
+                            g = gamma[a][k][l]
+                            if g.is_zero():
+                                continue
+                            sym = list(m)
+                            sym[offset + a] -= 1
+                            sym[offset + l] += 1
+                            sym[offset + k] += 1
+                            _accumulate(acc, tuple(sym), g.scale(-e))
+            hit = self._nabla_ops[m] = _entries(acc)
+        return hit
+
+    def _ad_op(self, l, m):
+        """-(1/nu) ad(r_{l+2}) followed by delta_inv, without the 1/|sym'|
+        of delta_inv, on a term of sym m and no antisymmetric symbols: a
+        list of ((dp, sym'), factor) sending nu^p c to nu^(p+dp) c * factor.
+
+        A term of r with antisymmetric symbol dz^j contributes its forward
+        contraction states with the term negatively and its backward ones
+        positively (the bracket subtracts ad = forward - backward), from
+        level 1 on: the pointwise parts cancel and the level pays the 1/nu."""
+        key = (l, m)
+        hit = self._ad_ops.get(key)
+        if hit is None:
+            kind, chart = self.kind, self.chart
+            acc = {}
+            for (p1, m1, a1), c1 in self.r_parts[l + 2].terms.items():
+                j = a1.bit_length() - 1
+                if a1 != 1 << j:
+                    raise ContractViolation(
+                        "connection element has a term of antisymmetric degree other than 1"
+                    )
+                for negate, states in ((True, weyl._pair_contractions(kind, chart, m1, m)),
+                                       (False, weyl._pair_contractions(kind, chart, m, m1))):
+                    for level, sym, factor in states[1:]:
+                        c = weyl._times_factor(c1, factor)
+                        _accumulate(acc, (p1 - 1 + level, _raised(sym, j)), -c if negate else c)
+            hit = self._ad_ops[key] = _entries(acc)
+        return hit
+
+
+def _accumulate(acc, key, c):
+    """acc[key] += c."""
+    cur = acc.get(key)
+    acc[key] = c if cur is None else cur + c
+
+
+def _entries(acc):
+    """The nonzero sums of an operator table entry as a list, a constant one
+    held as a GaussianRational."""
+    return [(key, weyl._constant_or_expr(c)) for key, c in acc.items() if not c.is_zero()]
+
+
+def _raised(sym, j):
+    """The multiset sym with one more symbol j."""
+    out = list(sym)
+    out[j] += 1
+    return tuple(out)
+
 
 def compute_r_via_fixed_point(data, seed=None):
     """The connection element by plain fixed-point iteration from any seed.
@@ -292,6 +378,42 @@ def _cut_degree(data, degree):
     return degree
 
 
+def _tau_step(data, parts):
+    """The part of degree k+1 of tau from its parts of degree 0..k:
+    delta_inv(nabla tau_k - sum_l (1/nu) ad(r_{l+2}) tau_{k-l}) in one pass.
+
+    A part of tau has no antisymmetric symbols and every term of r has
+    exactly one.  So every term of the bracket carries one antisymmetric
+    symbol dz^j, wedged in front of the empty word by nabla and by the
+    product, and taken out of a one-symbol word by delta_inv: both signs
+    are +1, and the degree delta_inv divides by, |sym| + 1, is |sym'| for
+    the output word sym' = sym + dz^j.  Each contribution is therefore added
+    straight to its output term (p, sym'), through the derivative of the
+    coefficient and the operator tables of `data`, and every output term is
+    divided by |sym'| once at the end.
+    """
+    k = len(parts) - 1
+    acc = {}
+    for (p, m, _), c in parts[k].terms.items():
+        for j in range(len(m)):
+            dc = c.differentiate(j)
+            if not dc.is_zero():
+                _accumulate(acc, (p, _raised(m, j)), dc)
+        for sym, factor in data._nabla_op(m):
+            _accumulate(acc, (p, sym), weyl._times_factor(c, factor))
+    for l in range(k):
+        if l + 2 not in data.r_parts:
+            continue
+        for (p, m, _), c in parts[k - l].terms.items():
+            for (dp, sym), factor in data._ad_op(l, m):
+                _accumulate(acc, (p + dp, sym), weyl._times_factor(c, factor))
+    terms = {
+        (p, sym, 0): c.scale(GaussianRational.ratio(1, sum(sym)))
+        for (p, sym), c in acc.items() if not c.is_zero()
+    }
+    return WeylElement(data.chart.n, terms, data.K)
+
+
 def tau(data, f, degree=None):
     """The unique D-flat element with scalar part f, by the degree recursion,
     up to total degree `degree` (default: the truncation K).
@@ -299,24 +421,19 @@ def tau(data, f, degree=None):
     The part of degree k+1 is built from the parts of degree <= k alone
     (nabla keeps the degree, (1/nu) ad(r) with deg r >= 2 does not lower it,
     delta_inv raises it by one), so the series cut at `degree` is exact up
-    to that degree.  The parts are cached per function and a request for a
+    to that degree.  `_tau_step` computes each part in one pass, fusing
+    nabla, (1/nu) ad(r) and delta_inv; the fusion is exact because a part of
+    tau has no antisymmetric symbols and every term of r has exactly one,
+    so delta_inv divides each output term by the size of its symmetric word
+    with sign +1.  The parts are cached per function and a request for a
     higher degree resumes the recursion from the last one."""
-    K = data.K
     degree = _cut_degree(data, degree)
     key = f.serialize()
     parts = data.tau_cache.get(key)
     if parts is None or len(parts) <= degree:
-        chart, conn, kind = data.chart, data.conn, data.kind
-        parts = list(parts or (WeylElement.scalar(f, truncation=K),))
-        for k in range(len(parts) - 1, degree):
-            bracket = weyl.nabla(parts[k], chart, conn)
-            for l in range(k):
-                rp = data.r_parts.get(l + 2)
-                tp = parts[k - l]
-                if rp is None or tp.is_zero():
-                    continue
-                bracket = bracket - weyl.ad_over_nu(rp, tp, kind, chart, None)
-            parts.append(weyl.delta_inv(bracket).truncate(K))
+        parts = list(parts or (WeylElement.scalar(f, truncation=data.K),))
+        while len(parts) <= degree:
+            parts.append(_tau_step(data, parts))
         parts = tuple(parts)
         data.tau_cache[key] = parts
     terms = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .expr import GR_I, ChartExpr, GaussianRational, var_name
+from .expr import GR_I, GR_ONE, GR_ZERO, ChartExpr, GaussianRational, var_name
 
 # 1/i = -i and 2/i = -2i: the couplings of the fibrewise products.
 INV_I = GaussianRational(0, -1)
@@ -428,15 +428,22 @@ _CONTRACTIONS = {
 
 def _coupling_table(kind, chart):
     """Cached scaled metric couplings of the fibrewise contraction, one table
-    per contraction direction."""
+    per contraction direction.
+
+    On a chart whose inverse metric is constant every coupling is held as a
+    GaussianRational, so the contraction searches of `_pair_contractions` and
+    `full_contraction_value` run in scalar arithmetic there; otherwise every
+    coupling is a ChartExpr."""
     memo = chart.contraction_memo("_couplings")
     hit = memo.get(kind)
     if hit is not None:
         return hit
     n = chart.n
     ginv = chart.inverse_metric
+    constant = all(ginv[k][l].is_constant() for k in range(n) for l in range(n))
     table = [
-        [[ginv[k][l].scale(scale) for l in range(n)] for k in range(n)]
+        [[ginv[k][l].constant_value() * scale if constant else ginv[k][l].scale(scale)
+          for l in range(n)] for k in range(n)]
         for _, scale in _CONTRACTIONS[kind]
     ]
     memo[kind] = table
@@ -444,7 +451,8 @@ def _coupling_table(kind, chart):
 
 
 def _contraction_steps(kind, chart, m1, m2):
-    """Yield (new_m1, new_m2, coupling, multiplicity) for one insertion step."""
+    """Yield (new_m1, new_m2, coupling, multiplicity) for one insertion step;
+    couplings that vanish are skipped."""
     n = chart.n
     tables = _coupling_table(kind, chart)
     for (flipped, _), table in zip(_CONTRACTIONS[kind], tables):
@@ -452,7 +460,7 @@ def _contraction_steps(kind, chart, m1, m2):
             for l in range(n):
                 i, j = (n + l, k) if flipped else (k, n + l)
                 e1, e2 = m1[i], m2[j]
-                if e1 and e2:
+                if e1 and e2 and not table[k][l].is_zero():
                     nm1 = list(m1); nm1[i] -= 1
                     nm2 = list(m2); nm2[j] -= 1
                     yield tuple(nm1), tuple(nm2), table[k][l], e1 * e2
@@ -474,7 +482,9 @@ def _pair_contractions(kind, chart, m1, m2):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    states = {(m1, m2): ChartExpr.one(chart.n)}
+    # the factor 1, in the arithmetic of the couplings
+    constant = type(_coupling_table(kind, chart)[0][0][0]) is GaussianRational
+    states = {(m1, m2): GR_ONE if constant else ChartExpr.one(chart.n)}
     result = [(0, _sym_sum(m1, m2), None)]
     level = 0
     while states:
@@ -482,16 +492,21 @@ def _pair_contractions(kind, chart, m1, m2):
         nxt = {}
         for (u, v), factor in states.items():
             for nu_, nv, coupling, mult in _contraction_steps(kind, chart, u, v):
-                add = (factor * coupling).scale(GaussianRational.ratio(mult, level))
+                add = factor * coupling * GaussianRational.ratio(mult, level)
                 cur = nxt.get((nu_, nv))
                 nxt[(nu_, nv)] = add if cur is None else cur + add
         states = {k: f for k, f in nxt.items() if not f.is_zero()}
         for (u, v), factor in states.items():
-            if factor.is_constant():
-                factor = factor.constant_value()
-            result.append((level, _sym_sum(u, v), factor))
+            result.append((level, _sym_sum(u, v), _constant_or_expr(factor)))
     memo[key] = result
     return result
+
+
+def _constant_or_expr(value):
+    """A GaussianRational for a constant value, else the ChartExpr itself."""
+    if type(value) is GaussianRational or not value.is_constant():
+        return value
+    return value.constant_value()
 
 
 def _sym_sum(m1, m2):
@@ -595,7 +610,8 @@ def full_contraction_value(m1, m2, kind, chart):
 
     Equals the coefficient produced at the final level of the exponential
     (with the 1/l! folded in) when both multiplicity vectors are depleted;
-    zero when they cannot be matched.  Memoized on the chart.
+    zero when they cannot be matched.  A GaussianRational when constant, a
+    ChartExpr otherwise.  Memoized on the chart.
     """
     memo = chart.contraction_memo(kind)
     key = (m1, m2)
@@ -604,16 +620,18 @@ def full_contraction_value(m1, m2, kind, chart):
         return hit
     l1, l2 = sum(m1), sum(m2)
     if l1 != l2:
-        value = ChartExpr.zero(chart.n)
+        value = GR_ZERO
     elif l1 == 0:
-        value = ChartExpr.one(chart.n)
+        value = GR_ONE
     else:
-        value = ChartExpr.zero(chart.n)
+        value = None
         for nm1, nm2, coupling, mult in _contraction_steps(kind, chart, m1, m2):
             sub = full_contraction_value(nm1, nm2, kind, chart)
             if sub.is_zero():
                 continue
-            value = value + (coupling * sub).scale(GaussianRational.ratio(mult, l1))
+            add = coupling * sub * GaussianRational.ratio(mult, l1)
+            value = add if value is None else value + add
+        value = GR_ZERO if value is None else _constant_or_expr(value)
     memo[key] = value
     return value
 
@@ -667,9 +685,9 @@ def sigma_circ(a, b, kind, chart, max_nu):
                 value = memo.get((m1, m2))
                 if value is None:
                     value = full_contraction_value(m1, m2, kind, chart)
-                if value.is_constant():
-                    if not value.is_zero():
-                        out._add(low + p2, zero_sym, 0, (c1 * c2).scale(value.constant_value()))
+                if type(value) is GaussianRational:
+                    if value:
+                        out._add(low + p2, zero_sym, 0, (c1 * c2).scale(value))
                 else:
                     out._add(low + p2, zero_sym, 0, c1 * c2 * value)
     return out

@@ -278,6 +278,26 @@ def test_term_cap():
         assert time.perf_counter() - started < 1
 
 
+def test_division_by_a_constant_scales_by_its_inverse():
+    for text in ("z1*zb1 - i", "(z1 + 2)/(1 - z1*zb1)^2", "0"):
+        a = parse(text, 1, DISK)
+        for c_text in ("3", "2 - i", "i/2"):
+            c = parse(c_text, 1)
+            assert a / c == a.scale(c.constant_value().inverse())
+            assert (a / c) * c == a
+
+
+def test_zero_is_shared_and_a_constant_differentiates_to_it():
+    zero = ChartExpr.zero(1)
+    assert zero is ChartExpr.zero(1)
+    assert parse("z1 - z1", 1) is zero
+    over_disk = parse("z1 - z1", 1, DISK)
+    assert over_disk.base == factor_base(DISK)
+    for text in ("3 + i", "0", "zb1"):
+        assert parse(text, 1, DISK).differentiate(0) is over_disk
+    assert parse("1/(1 - z1*zb1)", 1, DISK).differentiate(0) != over_disk
+
+
 @st.composite
 def over_base(draw, base):
     """A value built by random ring operations, division by base factors,

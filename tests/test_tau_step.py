@@ -1,0 +1,110 @@
+"""The one-pass tau step against the composed operators it fuses.
+
+Each part of tau(f) must equal delta_inv(nabla x_k - sum_l (1/nu)
+ad(r_{l+2}) x_{k-l}) computed with the public Weyl-algebra operators from
+the parts below it, and the series must be D-flat.
+"""
+
+import pytest
+
+from wickstar import weyl
+from wickstar.chart import load_chart
+from wickstar.expr import parse
+from wickstar.fedosov import FedosovData, fedosov_D, tau
+from wickstar.weyl import WeylElement
+
+CHARTS = ("c2_flat_omega20", "c2_flat_skew", "disk_omega_inu", "cp1_omega_nu")
+K = 6
+
+# the unit ball in C^2: curved, with a non-diagonal metric and Christoffel
+# symbols Gamma^a_{kl} with l != a, which no bundled chart has
+BALL2 = {
+    "name": "ball2",
+    "dimension": 2,
+    "metric": [
+        ["2*(1 - z2*zb2)/(1 - z1*zb1 - z2*zb2)^2", "2*zb1*z2/(1 - z1*zb1 - z2*zb2)^2"],
+        ["2*zb2*z1/(1 - z1*zb1 - z2*zb2)^2", "2*(1 - z1*zb1)/(1 - z1*zb1 - z2*zb2)^2"],
+    ],
+    "inverse_metric": [
+        ["(1 - z1*zb1 - z2*zb2)*(1 - z1*zb1)/2", "-(1 - z1*zb1 - z2*zb2)*z1*zb2/2"],
+        ["-(1 - z1*zb1 - z2*zb2)*z2*zb1/2", "(1 - z1*zb1 - z2*zb2)*(1 - z2*zb2)/2"],
+    ],
+    "factor_base": ["1 - z1*zb1 - z2*zb2"],
+    "potential_gradient": ["i*zb1/(1 - z1*zb1 - z2*zb2)", "i*zb2/(1 - z1*zb1 - z2*zb2)"],
+}
+
+
+@pytest.fixture(scope="module")
+def ball2():
+    return load_chart(BALL2)
+
+
+def _function(chart):
+    if chart.n == 1:
+        return parse("z1^2*zb1 + i*zb1 - 3", 1, chart.factor_base)
+    return parse("z1^2*zb2 + zb1^2*z2^2 - i*z2 + z1*zb2", 2, chart.factor_base)
+
+
+def _composed_parts(data, f):
+    """The parts of tau(f) by the composed operators, one pass each."""
+    chart, conn, kind = data.chart, data.conn, data.kind
+    parts = [WeylElement.scalar(f, truncation=data.K)]
+    for k in range(data.K):
+        bracket = weyl.nabla(parts[k], chart, conn)
+        for l in range(k):
+            rp = data.r_parts.get(l + 2)
+            if rp is not None:
+                bracket = bracket - weyl.ad_over_nu(rp, parts[k - l], kind, chart, None)
+        parts.append(weyl.delta_inv(bracket).truncate(data.K))
+    return parts
+
+
+def _check_against_composition(data, f):
+    tf = tau(data, f)
+    parts = data.tau_cache[f.serialize()]
+    want = _composed_parts(data, f)
+    assert len(parts) == len(want) == data.K + 1
+    for k, (got, expected) in enumerate(zip(parts, want)):
+        assert got == expected, f"part {k}"
+        assert got.truncation == expected.truncation
+    assert fedosov_D(data, tf).is_zero()
+    return parts
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", CHARTS)
+def test_tau_step_matches_the_composed_operators(request, name, kind):
+    chart = request.getfixturevalue(name)
+    data = FedosovData(kind, chart, K=K)
+    parts = _check_against_composition(data, _function(chart))
+    # the check is not vacuous: the series reaches past the derivatives of
+    # order 2, and where r is not zero, its tables act
+    assert not parts[3].is_zero()
+    if data.r_parts:
+        assert any(data._ad_ops.values())
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+def test_tau_step_matches_the_composed_operators_on_ball2(ball2, kind):
+    gamma = ball2.connection.christoffel
+    assert any(not gamma[a][k][l].is_zero()
+               for a in range(2) for k in range(2) for l in range(2) if l != a)
+    data = FedosovData(kind, ball2, K=4)
+    _check_against_composition(data, _function(ball2))
+    assert any(data._ad_ops.values())
+
+
+@pytest.mark.parametrize("name", ("c2_flat_omega20", "disk_omega_inu"))
+def test_tau_tables_are_built_once_per_key(request, name):
+    chart = request.getfixturevalue(name)
+    data = FedosovData("weyl", chart, K=K)
+    f = _function(chart)
+    tf = tau(data, f)
+    assert data._nabla_ops or data._ad_ops
+    nabla_ops, ad_ops = dict(data._nabla_ops), dict(data._ad_ops)
+    data.tau_cache.clear()
+    assert tau(data, f) == tf
+    assert data._nabla_ops.keys() == nabla_ops.keys()
+    assert data._ad_ops.keys() == ad_ops.keys()
+    assert all(data._nabla_ops[m] is entry for m, entry in nabla_ops.items())
+    assert all(data._ad_ops[key] is entry for key, entry in ad_ops.items())
