@@ -9,10 +9,11 @@ reduced holomorphic recursions, renormalization and equivalence
 transformations, parity transport, the Karabegov form, Hermiticity,
 differential order and the separation-of-variables reindexing.
 
-All recursions run degree-by-degree on the total-degree filtration, which
-makes every step finitary and exact; a generic fixed-point iterator with a
-stationarity contract is provided for cross-checks and for the maps whose
-degree-wise expansion is unwieldy.
+Every equation x = x0 + delta_inv(L x) with L not lowering the total degree
+(r, tau(f), the projected Taylor series, the equivalence generator h) is
+solved exactly by one loop, `_by_degree`, that builds each homogeneous part
+once from the parts below it; `fixed_point` solves the equation for r again,
+from any seed, as the witness of uniqueness.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ class Report:
 def fixed_point(map_fn, start, max_degree):
     """Unique fixed point of a degree-raising map, modulo degree > max_degree.
 
-    The caller asserts that the map raises the lowest differing total
-    degree by at least one; then iteration from any start is stationary
-    within max_degree + 1 steps.  Non-stationarity raises, and a map that
-    is stationary immediately is probed at a second point to detect
+    It serves `compute_r_via_fixed_point`, the uniqueness witness of r.  The
+    caller asserts that the map raises the lowest differing total degree by
+    at least one; then iteration from any start is stationary within
+    max_degree + 1 steps.  Non-stationarity raises, and a map that is
+    stationary immediately is probed at a second point to detect
     non-contracting maps with several fixed points (such as the identity).
     """
     x = start
@@ -128,6 +130,9 @@ def bernoulli(k):
 class FedosovData:
     """Product kind, chart, input data and the computed connection element.
 
+    `r_parts` maps each degree to the nonzero homogeneous part of r of that
+    degree, read by the tau operator tables, `_tau_step`, `_projected_tau` and h.
+
     Immutable after construction apart from three memo tables, whose
     entries are value determined, so concurrent duplicate recomputation is
     harmless:
@@ -163,7 +168,6 @@ class FedosovData:
         self.tau_cache = {}
         self._nabla_ops = {}
         self._ad_ops = {}
-        self.r_parts = {}
         self.r = self._compute_r()
         self.verify_r()
 
@@ -183,60 +187,28 @@ class FedosovData:
 
     # -- the recursion -------------------------------------------------------------
 
-    def _sources(self):
-        """Homogeneous central sources: curvature at degree 2, forms at 2i."""
-        out = {}
-        R = self.curv.curvature_element
-        if not R.is_zero():
-            out[2] = R.truncate(self.K)
-        for power, form in self.omega.items():
-            deg = 2 * power
-            if deg > self.K:
-                continue
-            el = form.to_weyl(nu_power=power, truncation=self.K)
-            out[deg] = out.get(deg, WeylElement.zero(self.chart.n, self.K)) + el
-        return out
-
     def _compute_r(self):
         """Degree-wise expansion of r = delta(s) + delta_inv(nabla r
-        - (1/nu) r.r + R + 1 x Omega); each homogeneous component is
-        produced exactly once."""
+        - (1/nu) r.r + R + 1 x Omega): part k+1 is delta(s_{k+2}) plus
+        delta_inv of the bracket's part of degree k, which reads the parts of
+        degree <= k alone, as (1/nu) r_a.r_b has degree a + b - 2 >= a, b."""
         chart, conn, kind, K = self.chart, self.conn, self.kind, self.K
-        n = chart.n
-        sources = self._sources()
-        s_parts = {}
-        for (p, sym, asym), coeff in self.s.terms.items():
-            deg = sum(sym) + 2 * p
-            s_parts.setdefault(deg, WeylElement(n, {}, self.K))._add(p, sym, asym, coeff)
-        parts = {}
-        for k in range(2, K + 1):
-            bracket = sources.get(k - 1, WeylElement.zero(n, K))
-            prev = parts.get(k - 1)
-            if prev is not None and not prev.is_zero():
-                bracket = bracket + weyl.nabla(prev, chart, conn)
-            quad = WeylElement.zero(n)
-            for a in range(2, k):
-                b = k + 1 - a
-                if b < 2 or b >= k:
-                    continue
-                pa, pb = parts.get(a), parts.get(b)
-                if pa is None or pb is None or pa.is_zero() or pb.is_zero():
-                    continue
-                quad = quad + weyl.circ(pa, pb, kind, chart, trunc=k + 1)
+        source = self.curv.curvature_element + self.omega.to_weyl(truncation=K)
+
+        def step(parts):
+            k = len(parts) - 1
+            quad = WeylElement.zero(chart.n)
+            for a in range(2, k + 1):
+                if not (parts[a].is_zero() or parts[k + 2 - a].is_zero()):
+                    quad = quad + weyl.circ(parts[a], parts[k + 2 - a], kind, chart, trunc=k + 2)
+            bracket = source.component(k) + weyl.nabla(parts[k], chart, conn)
             if not quad.is_zero():
                 bracket = bracket - quad.div_nu(1)
-            comp = weyl.delta_inv(bracket)
-            stail = s_parts.get(k + 1)
-            if stail is not None:
-                comp = comp + weyl.delta(stail)
-            comp = comp.truncate(K)
-            if not comp.is_zero():
-                parts[k] = comp
-        self.r_parts = parts
-        total = WeylElement.zero(n, K)
-        for comp in parts.values():
-            total = total + comp
-        return total
+            return (weyl.delta_inv(bracket) + weyl.delta(self.s.component(k + 2))).truncate(K)
+
+        parts = _by_degree([WeylElement.zero(chart.n, K)] * 2, step, K)
+        self.r_parts = {k: part for k, part in enumerate(parts) if not part.is_zero()}
+        return _joined(parts, K)
 
     def verify_r(self):
         """Exact check of the two defining equations up to the truncation."""
@@ -332,6 +304,24 @@ def _raised(sym, j):
     out = list(sym)
     out[j] += 1
     return tuple(out)
+
+
+def _by_degree(parts, step, top):
+    """The parts of degree 0..top of x = x0 + delta_inv(L x), L not lowering
+    the total degree, from its known parts 0..k: step(parts) returns part
+    k+1 from those alone, as delta_inv raises the degree by one."""
+    parts = list(parts)
+    while len(parts) <= top:
+        parts.append(step(parts))
+    return parts
+
+
+def _joined(parts, top):
+    """The element whose homogeneous parts are parts[0..top], truncated at top."""
+    terms = {}
+    for part in parts[: top + 1]:
+        terms.update(part.terms)
+    return WeylElement(parts[0].n, terms, top)
 
 
 def compute_r_via_fixed_point(data, seed=None):
@@ -431,15 +421,9 @@ def tau(data, f, degree=None):
     key = f.serialize()
     parts = data.tau_cache.get(key)
     if parts is None or len(parts) <= degree:
-        parts = list(parts or (WeylElement.scalar(f, truncation=data.K),))
-        while len(parts) <= degree:
-            parts.append(_tau_step(data, parts))
-        parts = tuple(parts)
-        data.tau_cache[key] = parts
-    terms = {}
-    for part in parts[: degree + 1]:
-        terms.update(part.terms)
-    return WeylElement(data.chart.n, terms, degree)
+        known = parts or (WeylElement.scalar(f, truncation=data.K),)
+        parts = data.tau_cache[key] = tuple(_by_degree(known, lambda p: _tau_step(data, p), degree))
+    return _joined(parts, degree)
 
 
 # -- the star product ------------------------------------------------------------------
@@ -676,8 +660,11 @@ def has_wick_shape(data):
 
 
 def _projected_tau(data, f, hol, degree=None):
-    """pi_z tau(f) (hol) or pi_zbar tau(f) by the reduced recursion; exact
-    up to total degree `degree` (default: the truncation), as for tau.
+    """pi_z tau(f) (hol) or pi_zbar tau(f) by the reduced recursion
+    x = f + delta_z_inv(nabla_z x + (1/nu) pi_z(x.r)) or its mirror; exact up
+    to total degree `degree` (default: the truncation), as for tau.  Part k+1
+    reads the parts of degree <= k alone: the half delta_inv raises the
+    degree by one, and (1/nu) x_i.r_j with deg r_j >= 2 has degree >= i.
 
     The gate, a vanishing projection of r, is necessary but not sufficient:
     on the curved charts that projection vanishes for weyl and antiwick data
@@ -688,19 +675,23 @@ def _projected_tau(data, f, hol, degree=None):
         raise FedosovError(f"reduced recursion requires {selector} r = 0")
     top = _cut_degree(data, degree)
     chart, conn, kind = data.chart, data.conn, data.kind
-    f0 = WeylElement.scalar(f, truncation=top)
     nabla_half = weyl.nabla_z if hol else weyl.nabla_zbar
     delta_half_inv = weyl.delta_z_inv if hol else weyl.delta_zbar_inv
 
-    def step(a):
-        left, right = (a, data.r) if hol else (data.r, a)
-        prod = weyl.circ(left, right, kind, chart, trunc=top + 1)
-        over = weyl.project(prod, selector).div_nu(1).truncate(top - 1)
-        half = nabla_half(a, chart, conn).truncate(top - 1)
+    def step(parts):
+        k = len(parts) - 1
+        prod = WeylElement.zero(chart.n)
+        for i, part in enumerate(parts):
+            r_part = data.r_parts.get(k + 2 - i)
+            if r_part is not None:
+                left, right = (part, r_part) if hol else (r_part, part)
+                prod = prod + weyl.circ(left, right, kind, chart, trunc=k + 2)
+        over = weyl.project(prod, selector).div_nu(1)
+        half = nabla_half(parts[k], chart, conn)
         inner = half + over if hol else half - over
-        return (f0 + delta_half_inv(inner.with_truncation(None))).truncate(top)
+        return delta_half_inv(inner.with_truncation(None))
 
-    return fixed_point(step, f0, top)
+    return _joined(_by_degree([WeylElement.scalar(f, truncation=top)], step, top), top)
 
 
 def pi_z_tau_fast(data, f):
@@ -812,9 +803,15 @@ class EquivalenceTransform:
 
 def equivalence_A_h(data, data_prime, C, N):
     """Equivalence transformation between two data sets with cohomologous
-    two-form series, built from the Bernoulli-weighted recursion for h."""
+    two-form series, built from the Bernoulli-weighted recursion for h.
+    Part k+1 of h reads its parts of degree <= k alone: delta_inv raises the
+    degree by one, and (1/nu) ad(x) with deg x >= 2 does not lower it; with
+    deg h >= 3 (C starts at nu^1) and deg(r' - r) >= 2, a part of degree k of
+    the Bernoulli series reads only parts h_i with i <= k."""
     if data.kind != data_prime.kind or data.chart is not data_prime.chart or data.K != data_prime.K:
         raise FedosovError("equivalence requires matching kind, chart and truncation")
+    if C.min_power() is not None and C.min_power() < 1:
+        raise FedosovError("one-form series must start at nu^1")
     if C.d() != data.omega - data_prime.omega:
         raise FedosovError("dC must equal the difference of the two-form series")
     K = data.K
@@ -822,13 +819,14 @@ def equivalence_A_h(data, data_prime, C, N):
     c_el = C.to_weyl_sym(truncation=K)
     rdiff = data_prime.r - data.r
 
-    def step(h):
-        inner = weyl.nabla(h, chart, conn).truncate(K - 1)
-        inner = inner - weyl.ad_over_nu(data.r, h, kind, chart, K - 1)
-        inner = inner - _bernoulli_series_apply(data, h, rdiff, K - 1)
-        return (c_el + weyl.delta_inv(inner.with_truncation(None))).truncate(K)
+    def step(parts):
+        k = len(parts) - 1
+        h = _joined(parts, k)
+        inner = weyl.nabla(parts[k], chart, conn) - weyl.ad_over_nu(data.r, h, kind, chart, k)
+        inner = inner - _bernoulli_series_apply(data, h, rdiff, k)
+        return c_el.component(k + 1) + weyl.delta_inv(inner.component(k).with_truncation(None))
 
-    h = fixed_point(step, c_el, K)
+    h = _joined(_by_degree([WeylElement.zero(chart.n, K)], step, K), K)
     transform = EquivalenceTransform(data, data_prime, h)
 
     n = chart.n

@@ -13,7 +13,7 @@ the coefficient.
 
 The total degree of a term is Deg = |sym| + 2*nu_power.  Every element
 carries a truncation bound K (None = unbounded) and all operators drop
-terms with Deg > K eagerly; the fixed-point recursions downstream are
+terms with Deg > K eagerly; the degree recursions downstream are
 finitary exactly on this filtration.
 """
 

@@ -64,6 +64,29 @@ def cp1_omega_nu():
     return bundled("cp1_omega_nu")
 
 
+# the unit ball in C^2: curved, with a non-diagonal metric and Christoffel
+# symbols Gamma^a_{kl} with l != a, which no bundled chart has
+_BALL2 = {
+    "name": "ball2",
+    "dimension": 2,
+    "metric": [
+        ["2*(1 - z2*zb2)/(1 - z1*zb1 - z2*zb2)^2", "2*zb1*z2/(1 - z1*zb1 - z2*zb2)^2"],
+        ["2*zb2*z1/(1 - z1*zb1 - z2*zb2)^2", "2*(1 - z1*zb1)/(1 - z1*zb1 - z2*zb2)^2"],
+    ],
+    "inverse_metric": [
+        ["(1 - z1*zb1 - z2*zb2)*(1 - z1*zb1)/2", "-(1 - z1*zb1 - z2*zb2)*z1*zb2/2"],
+        ["-(1 - z1*zb1 - z2*zb2)*z2*zb1/2", "(1 - z1*zb1 - z2*zb2)*(1 - z2*zb2)/2"],
+    ],
+    "factor_base": ["1 - z1*zb1 - z2*zb2"],
+    "potential_gradient": ["i*zb1/(1 - z1*zb1 - z2*zb2)", "i*zb2/(1 - z1*zb1 - z2*zb2)"],
+}
+
+
+@pytest.fixture(scope="session")
+def ball2():
+    return load_chart(_BALL2)
+
+
 @pytest.fixture
 def p1():
     """Parser for 1-dimensional chart expressions."""

@@ -8,36 +8,12 @@ the parts below it, and the series must be D-flat.
 import pytest
 
 from wickstar import weyl
-from wickstar.chart import load_chart
 from wickstar.expr import parse
 from wickstar.fedosov import FedosovData, fedosov_D, tau
 from wickstar.weyl import WeylElement
 
 CHARTS = ("c2_flat_omega20", "c2_flat_skew", "disk_omega_inu", "cp1_omega_nu")
 K = 6
-
-# the unit ball in C^2: curved, with a non-diagonal metric and Christoffel
-# symbols Gamma^a_{kl} with l != a, which no bundled chart has
-BALL2 = {
-    "name": "ball2",
-    "dimension": 2,
-    "metric": [
-        ["2*(1 - z2*zb2)/(1 - z1*zb1 - z2*zb2)^2", "2*zb1*z2/(1 - z1*zb1 - z2*zb2)^2"],
-        ["2*zb2*z1/(1 - z1*zb1 - z2*zb2)^2", "2*(1 - z1*zb1)/(1 - z1*zb1 - z2*zb2)^2"],
-    ],
-    "inverse_metric": [
-        ["(1 - z1*zb1 - z2*zb2)*(1 - z1*zb1)/2", "-(1 - z1*zb1 - z2*zb2)*z1*zb2/2"],
-        ["-(1 - z1*zb1 - z2*zb2)*z2*zb1/2", "(1 - z1*zb1 - z2*zb2)*(1 - z2*zb2)/2"],
-    ],
-    "factor_base": ["1 - z1*zb1 - z2*zb2"],
-    "potential_gradient": ["i*zb1/(1 - z1*zb1 - z2*zb2)", "i*zb2/(1 - z1*zb1 - z2*zb2)"],
-}
-
-
-@pytest.fixture(scope="module")
-def ball2():
-    return load_chart(BALL2)
-
 
 def _function(chart):
     if chart.n == 1:
