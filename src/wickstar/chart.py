@@ -427,9 +427,9 @@ def poisson_bracket(chart, f, g):
 class Chart:
     """Immutable chart data with lazily derived geometry.
 
-    The tau cache of the Fedosov layer and the contraction memo here are
-    the only mutable attachments; both are memo tables whose entries are
-    value-determined, so concurrent recomputation is harmless.
+    The lazily derived geometry and the contraction memo here are the only
+    mutable attachments; their entries are value-determined, so concurrent
+    recomputation is harmless.  The tau cache lives on `FedosovData`.
     """
 
     def __init__(self, n, metric, inverse_metric, factor_base=(),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from bisect import insort
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -471,58 +472,8 @@ class ChartPolynomial:
         return _unpack(key, self.nvars), _make(a, b, self._d)
 
     def exact_div(self, divisor):
-        """Quotient self/divisor if the division is exact, else None.
-
-        Long division on the integer pairs: each step divides the remainder's
-        leading pair by the divisor's leading pair L, multiplying by its
-        conjugate and dividing by its norm; when the norm does not divide,
-        the remainder and the quotient so far are first multiplied by it, so
-        both stay integer pairs over one running denominator."""
-        dt = divisor._t
-        if not dt:
-            raise ExprDivisionError("division by the zero polynomial")
-        if not self._t:
-            return _poly(self.nvars, {}, 1)
-        guards = _LAYOUTS[self.nvars].guards
-        lead = max(dt)
-        la, lb = dt[lead]
-        if lb:
-            wa, wb, norm = la, -lb, la * la + lb * lb
-        else:
-            wa, wb, norm = (1 if la > 0 else -1), 0, abs(la)
-        rem, out, den = dict(self._t), {}, 1
-        while rem:
-            rk = max(rem)
-            qk = (rk | guards) - lead
-            if qk & guards != guards:
-                return None  # an exponent of the quotient would be negative
-            qk ^= guards
-            ra, rb = rem[rk]
-            qa, qb = ra * wa - rb * wb, ra * wb + rb * wa
-            if qa % norm or qb % norm:
-                rem = {k: (a * norm, b * norm) for k, (a, b) in rem.items()}
-                out = {k: (a * norm, b * norm) for k, (a, b) in out.items()}
-                den *= norm
-            else:
-                qa //= norm
-                qb //= norm
-            out[qk] = (qa, qb)
-            for dk, (da, db) in dt.items():
-                k = qk + dk
-                if k & guards:
-                    raise ExprError(f"an exponent reached the limit {EXPONENT_LIMIT}")
-                a, b = rem.get(k, (0, 0))
-                a -= qa * da - qb * db
-                b -= qa * db + qb * da
-                if a or b:
-                    rem[k] = (a, b)
-                else:
-                    rem.pop(k, None)
-        # self/divisor = (out/den) * divisor._d / self._d
-        dd = divisor._d
-        if dd != 1:
-            out = {k: (a * dd, b * dd) for k, (a, b) in out.items()}
-        return _reduced(self.nvars, out, den * self._d)
+        """Quotient self/divisor if the division is exact, else None."""
+        return _divider(divisor)(self)
 
     def render(self):
         t = self._t
@@ -658,52 +609,81 @@ _BASES = {}
 _ONE_CACHE = {}
 
 
-def _chain_divider(factor):
-    """Linear-time divider by a monic binomial X^s + c with c a Gaussian
-    integer (no common monomial factor); None for any other factor.
+def _divider(divisor):
+    """The exact divider by `divisor`: a function mapping a polynomial p to
+    p/divisor when the division is exact, else to None.
 
-    The exponents of poly fall into chains m, m + s, m + 2s, ..., and along
-    a chain, from the top down, the quotient obeys q_(k-1) = p_k - c q_k
-    with q_top = 0: integer pairs in, integer pairs out.  The division is
-    exact when the bottom of every chain gives p_0 = c q_0.  X^s + c is
-    primitive, so the quotient's pairs share no factor with poly's
-    denominator and need no content pass.
+    Long division on the integer pairs, set up once per divisor.  Each step
+    divides the remainder's leading pair by the divisor's leading pair L,
+    multiplying by its conjugate and dividing by its norm, nothing to do
+    when L = 1 as for every factor-base entry.  When the norm does not
+    divide, the remainder and the quotient so far are first multiplied by
+    it, so both stay integer pairs over one running denominator.  The
+    leading term cancels exactly, so only the divisor's other terms are
+    subtracted; their keys fall below the current one, so the remainder's
+    keys are kept in one ascending list, where a key that has left the
+    remainder is skipped.
     """
-    t = factor._t
-    if len(t) != 2 or 0 not in t or factor._d != 1:
-        return None
-    s = max(t)
-    if t[s] != (1, 0):
-        return None
-    ca, cb = t[0]
-    (shift0, e0), *rest = ((shift, e) for shift in _LAYOUTS[factor.nvars].shifts
-                           if (e := (s >> shift) & _FIELD))
+    t = divisor._t
+    if not t:
+        raise ExprDivisionError("division by the zero polynomial")
+    nvars, dd = divisor.nvars, divisor._d
+    guards = _LAYOUTS[nvars].guards
+    lead = max(t)
+    la, lb = t[lead]
+    if lb:
+        wa, wb, norm = la, -lb, la * la + lb * lb
+    else:
+        wa, wb, norm = (1 if la > 0 else -1), 0, abs(la)
+    monic = (la, lb) == (1, 0)
+    rest = [(k, a, b) for k, (a, b) in t.items() if k != lead]
 
     def divide(poly):
-        chains = {}
-        for k, pair in poly._t.items():
-            # the chain index: the most times X^s divides x^k
-            j = ((k >> shift0) & _FIELD) // e0
-            for shift, e in rest:
-                i = ((k >> shift) & _FIELD) // e
-                if i < j:
-                    j = i
-            chains.setdefault(k - j * s, {})[j] = pair
-        out = {}
-        for start, chain in chains.items():
-            qa = qb = 0
-            for j in range(max(chain), 0, -1):
-                pa, pb = chain.get(j, (0, 0))
-                if cb:
-                    qa, qb = pa - (ca * qa - cb * qb), pb - (ca * qb + cb * qa)
+        rem = dict(poly._t)
+        keys = sorted(rem)
+        out, den = {}, 1
+        while keys:
+            rk = keys.pop()
+            pair = rem.pop(rk, None)
+            if pair is None:
+                continue
+            qk = (rk | guards) - lead
+            if qk & guards != guards:
+                return None  # an exponent of the quotient would be negative
+            qk ^= guards
+            if monic:
+                qa, qb = pair
+            else:
+                ra, rb = pair
+                qa, qb = ra * wa - rb * wb, ra * wb + rb * wa
+                if norm != 1:
+                    if qa % norm or qb % norm:
+                        rem = {k: (a * norm, b * norm) for k, (a, b) in rem.items()}
+                        out = {k: (a * norm, b * norm) for k, (a, b) in out.items()}
+                        den *= norm
+                    else:
+                        qa //= norm
+                        qb //= norm
+            out[qk] = (qa, qb)
+            for dk, da, db in rest:
+                k = qk + dk
+                if k & guards:
+                    raise ExprError(f"an exponent reached the limit {EXPONENT_LIMIT}")
+                cur = rem.get(k)
+                if cur is None:
+                    rem[k] = (qb * db - qa * da, -qa * db - qb * da)
+                    insort(keys, k)
                 else:
-                    qa, qb = pa - ca * qa, pb - ca * qb
-                if qa or qb:
-                    out[start + (j - 1) * s] = (qa, qb)
-            pa, pb = chain.get(0, (0, 0))
-            if pa != ca * qa - cb * qb or pb != ca * qb + cb * qa:
-                return None
-        return _poly(poly.nvars, out, poly._d)
+                    a = cur[0] - (qa * da - qb * db)
+                    b = cur[1] - (qa * db + qb * da)
+                    if a or b:
+                        rem[k] = (a, b)
+                    else:
+                        del rem[k]
+        # poly/divisor = (out/den) * divisor._d / poly._d
+        if dd != 1:
+            out = {k: (a * dd, b * dd) for k, (a, b) in out.items()}
+        return _reduced(nvars, out, den * poly._d)
 
     return divide
 
@@ -750,7 +730,7 @@ class _Factor:
             raise ExprError(f"factor base entry {poly.render()!r} has a monomial factor")
         monic, _ = _monic(poly)
         self.monic = monic
-        self.divide = _chain_divider(monic) or (lambda p: p.exact_div(monic))
+        self.divide = _divider(monic)
         self.powers = [ChartPolynomial.one(poly.nvars), monic]
         self.derivatives = tuple(monic.derivative(j) for j in range(poly.nvars))
 

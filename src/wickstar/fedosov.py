@@ -474,9 +474,16 @@ def star_series(data, F, G, N):
     return out
 
 
+# the most derivative tables `closed_form_flat` keeps per chart and
+# direction; a full memo is emptied before the next insert, so a long-lived
+# process stays bounded
+_DERIVATIVE_TABLES = 1024
+
+
 def _derivative_table(chart, expr, offsets, max_order, tag):
     """All iterated derivatives of expr along the given coordinate block up
-    to order max_order, indexed by multi-index; memoized per order."""
+    to order max_order, indexed by multi-index; memoized per order, at most
+    _DERIVATIVE_TABLES tables per chart and direction."""
     memo = chart.contraction_memo(("cf_derivs", tag))
     key = (expr.serialize(), max_order)
     hit = memo.get(key)
@@ -502,6 +509,8 @@ def _derivative_table(chart, expr, offsets, max_order, tag):
             break
         table.update(nxt)
         frontier = nxt
+    if len(memo) >= _DERIVATIVE_TABLES:
+        memo.clear()
     memo[key] = table
     return table
 

@@ -352,11 +352,13 @@ class NuSeries:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __add__(self, other):
-        assert len(self.coeffs) == len(other.coeffs)
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("series orders differ")
         return NuSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.param)
 
     def __sub__(self, other):
-        assert len(self.coeffs) == len(other.coeffs)
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("series orders differ")
         return NuSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.param)
 
     def __neg__(self):

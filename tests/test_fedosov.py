@@ -380,6 +380,19 @@ def test_closed_form_memo_serves_a_higher_order(p1):
     assert closed_form_flat(chart, f, g, "wick", 3) == want
 
 
+def test_closed_form_memo_stays_bounded(p1):
+    """Distinct functions do not grow the derivative memo without bound."""
+    chart = load_chart({"name": "c1_fresh", "dimension": 1, "metric": [["1"]],
+                        "inverse_metric": [["1"]], "factor_base": [],
+                        "potential_gradient": ["(1/2)*i*zb1"]})
+    zb = p1("zb1")
+    for k in range(1100):
+        closed_form_flat(chart, p1(f"z1 + {k}"), zb, "wick", 1)
+    assert len(chart.contraction_memo(("cf_derivs", "z"))) <= 1024
+    assert closed_form_flat(chart, p1("z1 + 7"), zb, "wick", 1) == \
+        NuSeries([p1("z1*zb1 + 7*zb1"), p1("-2*i")])
+
+
 def test_closed_form_requires_flat(disk, p1):
     with pytest.raises(FedosovError):
         closed_form_flat(disk, p1("z1"), p1("zb1"), "wick", 1)

@@ -20,7 +20,6 @@ from wickstar.expr import (
     ChartPolynomial,
     ExprError,
     GaussianRational,
-    _chain_divider,
     var_name,
 )
 
@@ -171,16 +170,20 @@ def test_ring_operations_match_the_reference(data):
     check(P.conjugate(), ref_conjugate(p, nvars))
 
 
-@given(st.data())
-def test_exact_division_matches_the_reference(data):
+# the second size has dividends of up to 12 terms, so the long division
+# creates, cancels and creates again keys of its remainder
+@pytest.mark.parametrize("size", [(4, 3, 3), (12, 4, 4)], ids=["small", "large"])
+@given(data=st.data())
+def test_exact_division_matches_the_reference(size, data):
+    max_terms, max_divisor_terms, max_exp = size
     nvars = data.draw(NVARS)
-    a = data.draw(polys(nvars, max_terms=4))
-    b = data.draw(polys(nvars, max_terms=3).filter(bool))
+    a = data.draw(polys(nvars, max_terms=max_terms, max_exp=max_exp))
+    b = data.draw(polys(nvars, max_terms=max_divisor_terms, max_exp=max_exp).filter(bool))
     B = ChartPolynomial(nvars, b)
     product = ref_mul(a, b)
     check(ChartPolynomial(nvars, product).exact_div(B), a)
     # a perturbed dividend divides exactly only when the reference says so
-    extra = data.draw(polys(nvars, max_terms=2))
+    extra = data.draw(polys(nvars, max_terms=2, max_exp=max_exp))
     p = ref_add(product, extra)
     got = ChartPolynomial(nvars, p).exact_div(B)
     want = ref_exact_div(p, b)
@@ -191,34 +194,32 @@ def test_exact_division_matches_the_reference(data):
 
 
 @given(st.data())
-def test_chain_divider_matches_exact_division(data):
+def test_exact_division_by_a_binomial(data):
     nvars = data.draw(NVARS)
     shift = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
     if not any(shift):
         shift = (1,) * nvars
-    c = GaussianRational(data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(-2, 2)))
+    c = gaussian(data.draw)
+    if c.is_zero():
+        c = ONE
+    # X^s + c is the shape of a monic base entry such as z1*zb1 - 1
     factor = ChartPolynomial(nvars, {shift: ONE, (0,) * nvars: c})
-    divide = _chain_divider(factor)
-    assert divide is not None
-    a = data.draw(polys(nvars))
     f = dict(factor.terms)
-    # the square makes chains of three terms, so the recurrence runs
+    square = ref_mul(f, f)
+    a = data.draw(polys(nvars))
     once = ref_mul(a, f)
     product = ref_mul(once, f)
-    check(divide(ChartPolynomial(nvars, product)), once)
-    check(divide(divide(ChartPolynomial(nvars, product))), a)
-    p = ref_add(product, data.draw(polys(nvars, max_terms=2)))
-    got = divide(ChartPolynomial(nvars, p))
-    want = ChartPolynomial(nvars, p).exact_div(factor)
-    assert got == want
-    if got is not None:
-        check(got, ref_exact_div(p, f))
-
-
-def test_chain_divider_refuses_a_constant_it_cannot_invert():
-    # X + 1/2 has a non-integral constant, so the general divider serves it
-    factor = ChartPolynomial(2, {(1, 0): ONE, (0, 0): GaussianRational(Fraction(1, 2))})
-    assert _chain_divider(factor) is None
+    check(ChartPolynomial(nvars, once).exact_div(factor), a)
+    check(ChartPolynomial(nvars, product).exact_div(factor), once)
+    check(ChartPolynomial(nvars, product).exact_div(ChartPolynomial(nvars, square)), a)
+    for divisor, ref in ((factor, f), (ChartPolynomial(nvars, square), square)):
+        p = ref_add(product, data.draw(polys(nvars, max_terms=2)))
+        got = ChartPolynomial(nvars, p).exact_div(divisor)
+        want = ref_exact_div(p, ref)
+        if want is None:
+            assert got is None
+        else:
+            check(got, want)
 
 
 def test_terms_view_reads_tuples_and_gaussian_rationals():

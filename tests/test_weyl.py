@@ -426,3 +426,14 @@ def test_serialization_golden():
 def test_nu_series_render():
     s = NuSeries([parse("z1*zb1", 1), parse("-2*i", 1)])
     assert s.render_lines() == ["order0: z1*zb1", "order1: -2*i"]
+
+
+def test_series_of_different_orders_do_not_add():
+    """Adding or subtracting series of different orders is an error, also
+    under python -O, instead of dropping coefficients."""
+    long = NuSeries([parse("z1", 1), parse("zb1", 1), parse("1", 1), parse("2", 1)])
+    short = NuSeries([parse("z1", 1), parse("1", 1)])
+    with pytest.raises(ValueError, match="series orders differ"):
+        long + short
+    with pytest.raises(ValueError, match="series orders differ"):
+        short - long
