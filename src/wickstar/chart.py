@@ -12,6 +12,8 @@ error, never a warning.
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 from . import weyl
@@ -423,13 +425,34 @@ def poisson_bracket(chart, f, g):
 
 # -- the chart -------------------------------------------------------------------
 
+# the most entries the store holds; a full store evicts the least recently used
+_STORE_BOUND = 256
+_STORE = OrderedDict()
+_STORE_LOCK = threading.Lock()
+
+
+def _stored(key, entry=None):
+    """The one store of values derived from charts, keyed by value: the
+    entry under `key`, now the most recently used, or None; given `entry`,
+    publishes it whole under `key` first.  Tables in an entry map keys to
+    finished values, so other threads see values whole or not at all."""
+    with _STORE_LOCK:
+        if entry is not None:
+            _STORE[key] = entry
+        elif key not in _STORE:
+            return None
+        _STORE.move_to_end(key)
+        while len(_STORE) > _STORE_BOUND:
+            _STORE.popitem(last=False)
+        return _STORE[key]
+
 
 class Chart:
     """Immutable chart data with lazily derived geometry.
 
-    The lazily derived geometry and the contraction memo here are the only
-    mutable attachments; their entries are value-determined, so concurrent
-    recomputation is harmless.  The tau cache lives on `FedosovData`.
+    The derived geometry and the kernels' tables live in the chart's
+    geometry entry of the store, so charts with equal metrics share them
+    and a chart holds none of its own.  The tau cache is on `FedosovData`.
     """
 
     def __init__(self, n, metric, inverse_metric, factor_base=(),
@@ -441,61 +464,49 @@ class Chart:
         self.potential_gradient = potential_gradient
         self.omega_series = omega_series if omega_series is not None else FormSeries.zero(n)
         self.name = name
-        self._connection = None
-        self._curvature = None
-        self._omega = None
-        self._memo = {}
+        # the key of the chart's geometry entry in the store: the dimension
+        # and the canonical fields of the metric, the inverse metric and the
+        # factor base that the entry's values are held over
+        entries = [(e.num, e._mono, e._exps) for row in (*metric, *inverse_metric) for e in row]
+        self._key = repr((n, [(p._d, sorted(p._t.items()), m, x) for p, m, x in entries],
+                          [(b._d, sorted(b._t.items())) for b in self.factor_base]))
 
-    # geometry, derived once
+    def _derived(self, name, build=None):
+        """The geometry build(chart), or a table created empty, in the store."""
+        entry = _stored(self._key)
+        if entry is None:
+            entry = _stored(self._key, {})
+        hit = entry.get(name)
+        if hit is None:
+            hit = entry.setdefault(name, {} if build is None else build(self))
+        return hit
+
     @property
     def connection(self):
-        if self._connection is None:
-            self._connection = christoffel(self)
-        return self._connection
+        return self._derived("connection", christoffel)
 
     @property
     def curvature_data(self):
-        if self._curvature is None:
-            self._curvature = curvature(self)
-        return self._curvature
+        return self._derived("curvature", curvature)
 
     @property
     def omega(self):
-        if self._omega is None:
-            self._omega = omega_form(self)
-        return self._omega
-
-    def contraction_memo(self, kind):
-        return self._memo.setdefault(kind, {})
+        return self._derived("omega", omega_form)
 
     def is_flat(self):
         n = self.n
+        gamma = self.connection.christoffel
         return all(
-            self.connection.christoffel[m][k][l].is_zero()
-            for m in range(n)
-            for k in range(n)
-            for l in range(n)
+            gamma[m][k][l].is_zero() for m in range(n) for k in range(n) for l in range(n)
         ) and all(
             self.metric[k][l].is_constant() for k in range(n) for l in range(n)
         )
 
     def with_omega(self, omega_series):
-        """A copy of the chart with a different two-form series; geometry
-        caches are shared since the metric is unchanged."""
-        out = Chart(
-            self.n,
-            self.metric,
-            self.inverse_metric,
-            self.factor_base,
-            self.potential_gradient,
-            omega_series,
-            self.name,
-        )
-        out._connection = self._connection
-        out._curvature = self._curvature
-        out._omega = self._omega
-        out._memo = self._memo
-        return out
+        """A copy of the chart with a different two-form series; the metric
+        is unchanged, so it reads the same geometry entry."""
+        return Chart(self.n, self.metric, self.inverse_metric, self.factor_base,
+                     self.potential_gradient, omega_series, self.name)
 
     def validate(self):
         n = self.n

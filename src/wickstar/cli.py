@@ -594,9 +594,15 @@ def build_parser():
     return parser
 
 
+# the parser, built on the first call of `main`; parsing keeps no state
+_PARSER = []
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        if not _PARSER:
+            _PARSER.append(build_parser())
+        args = _PARSER[0].parse_args(argv)
         # a subcommand without one of these flags gets the RunConfig default
         given = vars(args)
         config = RunConfig(

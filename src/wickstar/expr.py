@@ -1188,6 +1188,9 @@ MAX_POWER_DEGREE = 64
 # product, quotient or power; checked on a bound before the operation, as
 # the degree cap does not bound the terms and products chain without limit
 MAX_TERMS = 4096
+# the deepest nesting of parentheses and unary minus signs; the parser
+# recurses once per level, so no cap would exhaust the interpreter's stack
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -1250,6 +1253,7 @@ class _Parser:
     def __init__(self, text, n, base):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.base = factor_base(base)
 
@@ -1269,6 +1273,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+    def nested(self, parse, pos):
+        """parse() one level deeper, within the nesting cap."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than the cap of {MAX_NESTING} levels", pos)
+        self.depth += 1
+        expr = parse()
+        self.depth -= 1
+        return expr
 
     def parse(self):
         expr = self.sum()
@@ -1310,7 +1323,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return -self.power()
+            return -self.nested(self.power, tok[2])
         base, atomic = self.atom()
         tok = self.peek()
         if tok[0] == "^":
@@ -1366,7 +1379,7 @@ class _Parser:
                 )
             return self.leaf(ChartPolynomial.variable(2 * self.n, offset + index - 1)), True
         if kind == "(":
-            inner = self.sum()
+            inner = self.nested(self.sum, pos)
             self.expect(")")
             return inner, False
         raise ParseError(f"unexpected token {text!r}", pos)

@@ -19,11 +19,12 @@ from any seed, as the witness of uniqueness.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import weyl
-from .chart import FormSeries, TwoForm
+from .chart import FormSeries, TwoForm, _stored
 from .expr import GR_I, ChartExpr, ExprError, GaussianRational
 from .weyl import NuSeries, WeylElement
 
@@ -126,6 +127,9 @@ def bernoulli(k):
 
 # -- the Fedosov data ------------------------------------------------------------------
 
+# a Fedosov entry of the store: the checked parts of r and the ad(r) tables
+_RSeries = namedtuple("_RSeries", "parts ad_ops")
+
 
 class FedosovData:
     """Product kind, chart, input data and the computed connection element.
@@ -133,18 +137,16 @@ class FedosovData:
     `r_parts` maps each degree to the nonzero homogeneous part of r of that
     degree, read by the tau operator tables, `_tau_step`, `_projected_tau` and h.
 
-    Immutable after construction apart from three memo tables, whose
-    entries are value determined, so concurrent duplicate recomputation is
-    harmless:
-    - `tau_cache` maps serialized functions to the tuple of homogeneous
-      parts of tau(f) computed so far, of degree 0..len(parts)-1.  A request
-      for a higher degree extends the parts and stores a longer tuple.
-    - `_nabla_ops` and `_ad_ops` are the operator tables of the tau step
-      (`_tau_step`), keyed by the sym multiset m of a tau term and by (l, m).
-      They are filled on first use and bounded by the multisets of degree
-      <= K.
-    The connection element is always checked against its defining equations
-    (`verify_r`).
+    The parts of r do not depend on K below it: with the (1/nu) ad(r)
+    tables of the tau step they are a Fedosov entry of the store, keyed by
+    the chart's geometry key, the kind, the two-form series and the
+    normalization cut at K, and a larger K resumes the recursion.  Every r
+    the store computes or extends is checked (`verify_r`) at the K asked for
+    before it is published, and a check at K holds at every smaller K.
+
+    Immutable after construction apart from `tau_cache` and the store's
+    tables; `tau_cache` maps serialized functions to the tuple of homogeneous
+    parts of tau(f) computed so far, of degree 0..len(parts)-1.
     """
 
     def __init__(self, kind, chart, K, omega=None, s=None,
@@ -166,10 +168,17 @@ class FedosovData:
         self.s = (s if s is not None else WeylElement.zero(chart.n)).truncate(K)
         self._validate_s(allow_sym_degree_one)
         self.tau_cache = {}
-        self._nabla_ops = {}
-        self._ad_ops = {}
-        self.r = self._compute_r()
-        self.verify_r()
+        key = (chart._key, kind, self.omega.render(), self.s.serialize())
+        entry = _stored(key) or _RSeries((WeylElement.zero(chart.n),) * 2, {})
+        fresh = len(entry.parts) <= K
+        if fresh:
+            entry = _RSeries(self._compute_r(entry.parts), entry.ad_ops)
+        self._entry = entry
+        self.r_parts = {k: part for k, part in enumerate(entry.parts[: K + 1]) if not part.is_zero()}
+        self.r = _joined(entry.parts, K)
+        if fresh:
+            self.verify_r()
+            _stored(key, entry)
 
     def _validate_s(self, allow_sym_degree_one):
         if not weyl.sigma(self.s).is_zero():
@@ -187,13 +196,13 @@ class FedosovData:
 
     # -- the recursion -------------------------------------------------------------
 
-    def _compute_r(self):
-        """Degree-wise expansion of r = delta(s) + delta_inv(nabla r
-        - (1/nu) r.r + R + 1 x Omega): part k+1 is delta(s_{k+2}) plus
-        delta_inv of the bracket's part of degree k, which reads the parts of
-        degree <= k alone, as (1/nu) r_a.r_b has degree a + b - 2 >= a, b."""
+    def _compute_r(self, known):
+        """The untruncated parts 0..K of r = delta(s) + delta_inv(nabla r
+        - (1/nu) r.r + R + 1 x Omega) after the known ones: part k+1 is
+        delta(s_{k+2}) plus delta_inv of the bracket's part of degree k, which
+        reads parts <= k alone, as (1/nu) r_a.r_b has degree a + b - 2 >= a, b."""
         chart, conn, kind, K = self.chart, self.conn, self.kind, self.K
-        source = self.curv.curvature_element + self.omega.to_weyl(truncation=K)
+        source = self.curv.curvature_element + self.omega.to_weyl()
 
         def step(parts):
             k = len(parts) - 1
@@ -204,11 +213,9 @@ class FedosovData:
             bracket = source.component(k) + weyl.nabla(parts[k], chart, conn)
             if not quad.is_zero():
                 bracket = bracket - quad.div_nu(1)
-            return (weyl.delta_inv(bracket) + weyl.delta(self.s.component(k + 2))).truncate(K)
+            return (weyl.delta_inv(bracket) + weyl.delta(self.s.component(k + 2))).with_truncation(None)
 
-        parts = _by_degree([WeylElement.zero(chart.n, K)] * 2, step, K)
-        self.r_parts = {k: part for k, part in enumerate(parts) if not part.is_zero()}
-        return _joined(parts, K)
+        return tuple(_by_degree(known, step, K))
 
     def verify_r(self):
         """Exact check of the two defining equations up to the truncation."""
@@ -228,15 +235,16 @@ class FedosovData:
 
     # -- the operator tables of the tau step -----------------------------------------
 
-    def _nabla_op(self, m):
+    def _nabla_op(self, memo, m):
         """The Christoffel part of nabla followed by delta_inv, without the
         1/|sym'| of delta_inv, on a term of sym m and no antisymmetric
         symbols: a list of (sym', factor) sending coefficient c to c * factor.
 
         Along Z_k, each dz^a of m becomes -Gamma^a_{kl} dz^l, and delta_inv
         turns the wedged dz^k into a dz^k of the sym word; likewise along
-        Zb_k with the barred symbols."""
-        hit = self._nabla_ops.get(m)
+        Zb_k with the barred symbols.  `memo` is the table of the chart's
+        geometry entry, as the operator depends on the connection alone."""
+        hit = memo.get(m)
         if hit is None:
             n = self.chart.n
             acc = {}
@@ -255,7 +263,7 @@ class FedosovData:
                             sym[offset + l] += 1
                             sym[offset + k] += 1
                             _accumulate(acc, tuple(sym), g.scale(-e))
-            hit = self._nabla_ops[m] = _entries(acc)
+            hit = memo[m] = _entries(acc)
         return hit
 
     def _ad_op(self, l, m):
@@ -267,10 +275,11 @@ class FedosovData:
         contraction states with the term negatively and its backward ones
         positively (the bracket subtracts ad = forward - backward), from
         level 1 on: the pointwise parts cancel and the level pays the 1/nu."""
-        key = (l, m)
-        hit = self._ad_ops.get(key)
+        memo = self._entry.ad_ops
+        hit = memo.get((l, m))
         if hit is None:
             kind, chart = self.kind, self.chart
+            pairs = chart._derived((kind, "pairs"))
             acc = {}
             for (p1, m1, a1), c1 in self.r_parts[l + 2].terms.items():
                 j = a1.bit_length() - 1
@@ -278,12 +287,12 @@ class FedosovData:
                     raise ContractViolation(
                         "connection element has a term of antisymmetric degree other than 1"
                     )
-                for negate, states in ((True, weyl._pair_contractions(kind, chart, m1, m)),
-                                       (False, weyl._pair_contractions(kind, chart, m, m1))):
+                for negate, states in ((True, weyl._pair_contractions(kind, chart, m1, m, pairs)),
+                                       (False, weyl._pair_contractions(kind, chart, m, m1, pairs))):
                     for level, sym, factor in states[1:]:
                         c = weyl._times_factor(c1, factor)
                         _accumulate(acc, (p1 - 1 + level, _raised(sym, j)), -c if negate else c)
-            hit = self._ad_ops[key] = _entries(acc)
+            hit = memo[l, m] = _entries(acc)
         return hit
 
 
@@ -384,12 +393,13 @@ def _tau_step(data, parts):
     """
     k = len(parts) - 1
     acc = {}
+    nabla_ops = data.chart._derived("nabla_ops")
     for (p, m, _), c in parts[k].terms.items():
         for j in range(len(m)):
             dc = c.differentiate(j)
             if not dc.is_zero():
                 _accumulate(acc, (p, _raised(m, j)), dc)
-        for sym, factor in data._nabla_op(m):
+        for sym, factor in data._nabla_op(nabla_ops, m):
             _accumulate(acc, (p, sym), weyl._times_factor(c, factor))
     for l in range(k):
         if l + 2 not in data.r_parts:
@@ -474,7 +484,7 @@ def star_series(data, F, G, N):
     return out
 
 
-# the most derivative tables `closed_form_flat` keeps per chart and
+# the most derivative tables `closed_form_flat` keeps per geometry entry and
 # direction; a full memo is emptied before the next insert, so a long-lived
 # process stays bounded
 _DERIVATIVE_TABLES = 1024
@@ -483,8 +493,8 @@ _DERIVATIVE_TABLES = 1024
 def _derivative_table(chart, expr, offsets, max_order, tag):
     """All iterated derivatives of expr along the given coordinate block up
     to order max_order, indexed by multi-index; memoized per order, at most
-    _DERIVATIVE_TABLES tables per chart and direction."""
-    memo = chart.contraction_memo(("cf_derivs", tag))
+    _DERIVATIVE_TABLES tables per geometry entry and direction."""
+    memo = chart._derived(("cf_derivs", tag))
     key = (expr.serialize(), max_order)
     hit = memo.get(key)
     if hit is not None:
@@ -540,7 +550,7 @@ def closed_form_flat(chart, f, g, kind, N):
         else:
             tf = _derivative_table(chart, f, ahol, N, "zb")
             tg = _derivative_table(chart, g, hol, N, "z")
-        weights = chart.contraction_memo(("cf_weights", kind))
+        weights = chart._derived(("cf_weights", kind))
         diag = [chart.inverse_metric[k][k].constant_value() for k in range(n)]
         for alpha, df in tf.items():
             order = sum(alpha)

@@ -436,7 +436,7 @@ def _coupling_table(kind, chart):
     GaussianRational, so the contraction searches of `_pair_contractions` and
     `full_contraction_value` run in scalar arithmetic there; otherwise every
     coupling is a ChartExpr."""
-    memo = chart.contraction_memo("_couplings")
+    memo = chart._derived("couplings")
     hit = memo.get(kind)
     if hit is not None:
         return hit
@@ -468,8 +468,8 @@ def _contraction_steps(kind, chart, m1, m2):
                     yield tuple(nm1), tuple(nm2), table[k][l], e1 * e2
 
 
-def _pair_contractions(kind, chart, m1, m2):
-    """All contraction states of a sym pair, memoized on the chart.
+def _pair_contractions(kind, chart, m1, m2, memo):
+    """All contraction states of a sym pair, memoized in the store.
 
     Returns a list of (level, sym, factor): sym is the symmetric word the
     pair leaves, m1' + m2', and the factor has the 1/level! of the
@@ -477,9 +477,8 @@ def _pair_contractions(kind, chart, m1, m2):
     pointwise level-0 state, a GaussianRational when it is another constant
     and a ChartExpr otherwise, so the pair loop multiplies only by the
     factors that vary.  The states depend only on the multiplicity vectors,
-    so the table is shared across all coefficient arithmetic.
+    so one table, `memo` in the chart's geometry entry, serves every pair.
     """
-    memo = chart.contraction_memo((kind, "pairs"))
     key = (m1, m2)
     hit = memo.get(key)
     if hit is not None:
@@ -545,6 +544,7 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
     shift = 1 if over_nu else 0
     cap = None if out_trunc is None else out_trunc + 2 * shift
     first = 1 if commutator else 0
+    pairs = chart._derived((kind, "pairs"))
     out = WeylElement(a.n, {}, out_trunc)
     for (p1, m1, a1), c1 in a.terms.items():
         d1 = sum(m1) + 2 * p1
@@ -558,10 +558,10 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
             if sign < 0:
                 cc = -cc
             p = p1 + p2 - shift
-            for level, sym, factor in _pair_contractions(kind, chart, m1, m2)[first:]:
+            for level, sym, factor in _pair_contractions(kind, chart, m1, m2, pairs)[first:]:
                 out._add(p + level, sym, mask, _times_factor(cc, factor))
             if commutator:
-                for level, sym, factor in _pair_contractions(kind, chart, m2, m1)[1:]:
+                for level, sym, factor in _pair_contractions(kind, chart, m2, m1, pairs)[1:]:
                     out._add(p + level, sym, mask, -_times_factor(cc, factor))
     if over_nu and any(p < 0 for p, _, _ in out.terms):
         raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
@@ -613,9 +613,9 @@ def full_contraction_value(m1, m2, kind, chart):
     Equals the coefficient produced at the final level of the exponential
     (with the 1/l! folded in) when both multiplicity vectors are depleted;
     zero when they cannot be matched.  A GaussianRational when constant, a
-    ChartExpr otherwise.  Memoized on the chart.
+    ChartExpr otherwise.  Memoized in the store.
     """
-    memo = chart.contraction_memo(kind)
+    memo = chart._derived(kind)
     key = (m1, m2)
     hit = memo.get(key)
     if hit is not None:
@@ -670,7 +670,7 @@ def sigma_circ(a, b, kind, chart, max_nu):
     zero_sym = (0,) * (2 * n)
     dz_side = any(not flipped for flipped, _ in _CONTRACTIONS[kind])
     dzb_side = any(flipped for flipped, _ in _CONTRACTIONS[kind])
-    memo = chart.contraction_memo(kind)
+    memo = chart._derived(kind)
     for (p1, m1, a1), c1 in a.terms.items():
         if a1:
             continue

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wickstar import cli
 from wickstar.cli import MAX_ORDER, MAX_TRUNCATION, main
 from wickstar.expr import ExprError, parse
 
@@ -254,6 +255,51 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_deep_nesting_is_a_user_error(capsys, tmp_path):
+    """250 parentheses in an operand, and 400 around a chart entry, exit 1
+    with one error line instead of a RecursionError traceback."""
+    deep = "(" * 250 + "z1" + ")" * 250
+    code, out, err = run(capsys, "star", "--chart", "c1_flat", "--order", "1",
+                         "--f", deep, "--g", "zb1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nesting" in err
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"dimension": 1, "metric": [["(" * 400 + "1" + ")" * 400]],
+                                "inverse_metric": [["1"]]}))
+    code, out, err = run(capsys, "describe", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nesting" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    """One process: usage error, star, verify, usage error.  The parser is
+    built on the first call only, and every call reports what a parser
+    built for it alone reports."""
+    sequence = (
+        ["star", "--chart", "c1_flat", "--order", "abc", "--f", "z1", "--g", "zb1"],
+        ["star", "--chart", "c1_flat", "--product", "antiwick", "--order", "2",
+         "--truncation", "8", "--f", "z1", "--g", "zb1"],
+        ["verify", "--chart", "c1_flat", "--suite", "algebra"],
+        ["verify", "--chart", "c1_flat", "--f", "z1"],
+    )
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", [])
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert len(built) == 1
+    assert [code for code, _, _ in shared][:2] == [1, 0]
+    assert shared[2][0] in (0, 1) and shared[3][0] == 1
+    alone = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", [])
+        alone.append(run(capsys, *argv))
+    assert shared == alone
+    assert shared[1][1].splitlines() == ["order0: z1*zb1", "order1: 0", "order2: 0"]
+    assert shared[2][1].startswith("suite algebra: ")
+    assert all(err.startswith("error: ") for _, _, err in (shared[0], shared[3]))
 
 
 def test_help_exits_0(capsys):

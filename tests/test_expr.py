@@ -14,6 +14,7 @@ from wickstar.expr import (
     ExprError,
     GaussianRational,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_POWER_DEGREE,
     MAX_TERMS,
     ParseError,
@@ -238,6 +239,20 @@ def test_exponent_cap():
     assert parse(f"z1^{MAX_EXPONENT}", 1) == parse("z1", 1) ** MAX_EXPONENT
     for text in (f"z1^{MAX_EXPONENT + 1}", f"z1^-{MAX_EXPONENT + 1}", "z1^3000000"):
         with pytest.raises(ParseError):
+            parse(text, 1)
+
+
+def test_nesting_cap():
+    """Parentheses and unary minus signs nest up to the cap; one level more
+    is a parse error, not an exhausted interpreter stack."""
+    z = parse("z1", 1)
+    assert parse("(" * MAX_NESTING + "z1" + ")" * MAX_NESTING, 1) == z
+    assert parse("-" * MAX_NESTING + "z1", 1) == z
+    assert parse("-(" * (MAX_NESTING // 2) + "z1" + ")" * (MAX_NESTING // 2), 1) == z
+    for text in ("(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1),
+                 "(" * 5000 + "z1" + ")" * 5000,
+                 "-" * (MAX_NESTING + 1) + "z1"):
+        with pytest.raises(ParseError, match="nesting"):
             parse(text, 1)
 
 

@@ -57,7 +57,7 @@ def test_tau_step_matches_the_composed_operators(request, name, kind):
     # order 2, and where r is not zero, its tables act
     assert not parts[3].is_zero()
     if data.r_parts:
-        assert any(data._ad_ops.values())
+        assert any(data._entry.ad_ops.values())
 
 
 @pytest.mark.parametrize("kind", weyl.KINDS)
@@ -67,20 +67,28 @@ def test_tau_step_matches_the_composed_operators_on_ball2(ball2, kind):
                for a in range(2) for k in range(2) for l in range(2) if l != a)
     data = FedosovData(kind, ball2, K=4)
     _check_against_composition(data, _function(ball2))
-    assert any(data._ad_ops.values())
+    assert any(data._entry.ad_ops.values())
 
 
 @pytest.mark.parametrize("name", ("c2_flat_omega20", "disk_omega_inu"))
 def test_tau_tables_are_built_once_per_key(request, name):
+    """The nabla tables live in the chart's geometry entry and the ad(r)
+    tables in the Fedosov entry of the store: a second tau, and a second
+    FedosovData of the same value, read the same table entries."""
     chart = request.getfixturevalue(name)
     data = FedosovData("weyl", chart, K=K)
     f = _function(chart)
     tf = tau(data, f)
-    assert data._nabla_ops or data._ad_ops
-    nabla_ops, ad_ops = dict(data._nabla_ops), dict(data._ad_ops)
+    nabla_table, ad_table = chart._derived("nabla_ops"), data._entry.ad_ops
+    assert nabla_table or ad_table
+    nabla_ops, ad_ops = dict(nabla_table), dict(ad_table)
     data.tau_cache.clear()
     assert tau(data, f) == tf
-    assert data._nabla_ops.keys() == nabla_ops.keys()
-    assert data._ad_ops.keys() == ad_ops.keys()
-    assert all(data._nabla_ops[m] is entry for m, entry in nabla_ops.items())
-    assert all(data._ad_ops[key] is entry for key, entry in ad_ops.items())
+    again = FedosovData("weyl", chart, K=K)
+    assert tau(again, f) == tf
+    assert again._entry is data._entry
+    assert chart._derived("nabla_ops") is nabla_table
+    assert nabla_table.keys() == nabla_ops.keys()
+    assert ad_table.keys() == ad_ops.keys()
+    assert all(nabla_table[m] is entry for m, entry in nabla_ops.items())
+    assert all(ad_table[key] is entry for key, entry in ad_ops.items())
