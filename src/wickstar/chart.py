@@ -435,15 +435,18 @@ def _stored(key, entry=None):
     """The one store of values derived from charts, keyed by value: the
     entry under `key`, now the most recently used, or None; given `entry`,
     publishes it whole under `key` first.  Tables in an entry map keys to
-    finished values, so other threads see values whole or not at all."""
+    finished values, so other threads see values whole or not at all.  A
+    new key evicts before it is inserted, so a reader that does not take
+    the lock never sees more entries than the bound."""
     with _STORE_LOCK:
         if entry is not None:
+            if key not in _STORE:
+                while len(_STORE) >= _STORE_BOUND:
+                    _STORE.popitem(last=False)
             _STORE[key] = entry
         elif key not in _STORE:
             return None
         _STORE.move_to_end(key)
-        while len(_STORE) > _STORE_BOUND:
-            _STORE.popitem(last=False)
         return _STORE[key]
 
 

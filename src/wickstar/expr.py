@@ -789,6 +789,16 @@ def factor_base(polys):
     return hit
 
 
+def _joined_base(b1, b2):
+    """The base of a value combined from values over b1 and b2: b1 followed
+    by the entries of b2 it lacks."""
+    if b1 is b2 or not b2:
+        return b1
+    if not b1:
+        return b2
+    return factor_base(b1 + tuple(b for b in b2 if b not in b1))
+
+
 def _new(num, mono, exps, base):
     out = object.__new__(ChartExpr)
     out.num = num
@@ -976,12 +986,7 @@ class ChartExpr:
         return ChartExpr(self.num, self.den, base)
 
     def _join_base(self, other):
-        b1, b2 = self.base, other.base
-        if b1 is b2 or not b2:
-            return b1
-        if not b1:
-            return b2
-        return factor_base(b1 + tuple(b for b in b2 if b not in b1))
+        return _joined_base(self.base, other.base)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1174,6 +1179,156 @@ class ChartExpr:
         return f"<ChartExpr {self.pretty()}>"
 
 
+class _Sums:
+    """Sums of chart functions, one per output key, kept in integers until
+    they are read.
+
+    The sum under a key is held in groups, one per factored denominator
+    x^mono * prod b_i^exps_i: a dict from packed monomials to
+    Gaussian-integer pairs over one int denominator.  Adding to a group is
+    integer arithmetic alone, with no content pass, cancellation or new
+    value.  Reading gives each group one content pass (`_reduced`) and one
+    `_cancel` against its own denominator, and joins the groups by
+    ChartExpr addition, so a value read is the canonical value that plain
+    ChartExpr sums give.
+
+    Values may come over different factor bases.  The sums are held over
+    the join of them all; a join only appends entries, so the exponents of
+    the groups held so far grow by zeros.
+    """
+
+    __slots__ = ("sums", "nvars", "base")
+
+    def __init__(self):
+        self.sums = {}
+        self.nvars = None
+        self.base = None
+
+    def _over(self, c):
+        """c over the sums' base, first joined with c's own."""
+        base = self.base
+        if c.base is base:
+            return c
+        if base is None:
+            self.nvars, self.base = c.num.nvars, c.base
+            return c
+        joined = _joined_base(base, c.base)
+        if joined is not base:
+            pad = (0,) * (len(joined) - len(base))
+            self.sums = {key: {(mono, exps + pad): acc for (mono, exps), acc in groups.items()}
+                         for key, groups in self.sums.items()}
+            self.base = joined
+        return c._over(joined)
+
+    def _put(self, key, group, t, d, va=1, vb=0):
+        """sums[key] += (va + vb*i) * t/d in the group of denominator
+        `group`, for a term dict t and (va, vb) != (0, 0)."""
+        groups = self.sums.get(key)
+        if groups is None:
+            groups = self.sums[key] = {}
+        acc = groups.get(group)
+        if acc is None:
+            if vb:
+                pairs = {k: (a * va - b * vb, a * vb + b * va) for k, (a, b) in t.items()}
+            elif va != 1:
+                pairs = {k: (a * va, b * va) for k, (a, b) in t.items()}
+            else:
+                pairs = dict(t)
+            groups[group] = [pairs, d]
+            return
+        pairs, den = acc
+        if den != d:
+            # over the lcm of the two denominators
+            g = math.gcd(den, d)
+            up = d // g
+            if up != 1:
+                pairs = acc[0] = {k: (a * up, b * up) for k, (a, b) in pairs.items()}
+                acc[1] = den * up
+            va, vb = va * (den // g), vb * (den // g)
+        get = pairs.get
+        for k, (a, b) in t.items():
+            if vb:
+                a, b = a * va - b * vb, a * vb + b * va
+            elif va != 1:
+                a, b = a * va, b * va
+            cur = get(k)
+            if cur is not None:
+                a += cur[0]
+                b += cur[1]
+                if not a and not b:
+                    del pairs[k]
+                    continue
+            pairs[k] = (a, b)
+
+    def add(self, key, c, value=None):
+        """sums[key] += c * value, for a GaussianRational value (None is 1)."""
+        if not c.num._t or (value is not None and not value):
+            return
+        c = self._over(c)
+        num = c.num
+        if value is None:
+            self._put(key, (c._mono, c._exps), num._t, num._d)
+        else:
+            self._put(key, (c._mono, c._exps), num._t, num._d * value.d, value.a, value.b)
+
+    def add_gradient(self, c, key):
+        """sums[key(j)] += the derivative of c along x_j, for every x_j it
+        is not zero along: inline for a polynomial c, through
+        ChartExpr.differentiate otherwise."""
+        if c._mono or any(c._exps):
+            for j in range(c.num.nvars):
+                self.add(key(j), c.differentiate(j))
+            return
+        num = self._over(c).num
+        group = (0, self.base.zeros)
+        bits = _keys_bits(num._t)
+        for j, shift in enumerate(_LAYOUTS[num.nvars].shifts):
+            if not (bits >> shift) & _FIELD:
+                continue
+            unit = 1 << shift
+            t = {}
+            for k, (a, b) in num._t.items():
+                e = (k >> shift) & _FIELD
+                if e:
+                    t[k - unit] = (a * e, b * e)
+            self._put(key(j), group, t, num._d)
+
+    def add_product(self, key, c1, c2, value=None):
+        """sums[key] += c1 * c2 * value: the numerators are multiplied and the
+        denominators' exponents added, with nothing cancelled."""
+        if not c1.num._t or not c2.num._t or (value is not None and not value):
+            return
+        c1 = self._over(c1)
+        c2 = self._over(c2)
+        # c2 may have widened the base c1 is over
+        c1 = c1._over(self.base)
+        num = c1.num * c2.num
+        group = (_mono_product(c1._mono, c2._mono, num.nvars), _added(c1._exps, c2._exps))
+        if value is None:
+            self._put(key, group, num._t, num._d)
+        else:
+            self._put(key, group, num._t, num._d * value.d, value.a, value.b)
+
+    def items(self, div=None):
+        """(key, sum) for every key whose sum is not zero, in the order the
+        keys were first added to, each sum divided by the int div(key) when
+        `div` is given.  Reading consumes the sums."""
+        sums, self.sums = self.sums, None
+        nvars, base = self.nvars, self.base
+        for key, groups in sums.items():
+            d_key = div(key) if div is not None else 1
+            total = None
+            for (mono, exps), (t, d) in groups.items():
+                if not t:
+                    continue
+                num, m, e = _cancel(_reduced(nvars, t, d * d_key), mono, exps, base.factors,
+                                    mono, exps)
+                value = _new(num, m, e, base)
+                total = value if total is None else total + value
+            if total is not None and not total.is_zero():
+                yield key, total
+
+
 # -- parsing ------------------------------------------------------------------
 
 _OPERATORS = set("+-*/^()")
@@ -1228,9 +1383,19 @@ def _degree(poly):
     return max((sum(_unpack(k, poly.nvars)) for k in poly._t), default=0)
 
 
-def _sizes(expr):
-    """Term counts of the numerator and of the expanded denominator."""
-    return len(expr.num._t), 1 if expr.is_polynomial() else len(expr.den._t)
+def _sizes(value):
+    """Term counts of the numerator and of the expanded denominator of a
+    parsed value, a ChartPolynomial or a ChartExpr."""
+    if type(value) is ChartPolynomial:
+        return len(value._t), 1
+    return len(value.num._t), 1 if value.is_polynomial() else len(value.den._t)
+
+
+def _total_degree(value):
+    """The degree of the numerator plus that of the denominator."""
+    if type(value) is ChartPolynomial:
+        return _degree(value)
+    return _degree(value.num) + _degree(value.den)
 
 
 def _cap_terms(bound, pos):
@@ -1246,9 +1411,12 @@ def _integer(tok):
 
 
 class _Parser:
-    """Recursive-descent parser for the chart expression grammar.  Atoms
-    are built over the factor base, so every intermediate value is held
-    factored over it."""
+    """Recursive-descent parser for the chart expression grammar.
+
+    A value stays a ChartPolynomial until a division by a non-constant or a
+    negative power of a variable gives it a denominator.  From there on it
+    is a ChartExpr over the factor base, and so is every value combined
+    with it, so every rational value is held factored over the base."""
 
     def __init__(self, text, n, base):
         self.tokens = _tokenize(text)
@@ -1257,8 +1425,25 @@ class _Parser:
         self.n = n
         self.base = factor_base(base)
 
-    def leaf(self, poly):
-        return ChartExpr(poly, base=self.base)
+    def lift(self, value):
+        """A parsed value as a ChartExpr over the base."""
+        if type(value) is ChartExpr:
+            return value
+        if not value._t:
+            return _zero(value.nvars, self.base)
+        return _new(value, 0, self.base.zeros, self.base)
+
+    def operands(self, left, right):
+        """Two polynomials as they are, else both as ChartExprs."""
+        if type(left) is type(right):
+            return left, right
+        return self.lift(left), self.lift(right)
+
+    def denominator(self, value):
+        """The factored denominator (mono, exps) of a parsed value."""
+        if type(value) is ChartPolynomial:
+            return 0, self.base.zeros
+        return value._mono, value._exps
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1284,11 +1469,11 @@ class _Parser:
         return expr
 
     def parse(self):
-        expr = self.sum()
+        value = self.sum()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return expr
+        return self.lift(value)
 
     def sum(self):
         left = self.product()
@@ -1296,10 +1481,11 @@ class _Parser:
             op, _, pos = self.advance()
             right = self.product()
             (an, ad), (bn, bd) = _sizes(left), _sizes(right)
-            # every value of the parse is over the parser's base, where equal
-            # denominators have equal exponents
-            same_den = left._mono == right._mono and left._exps == right._exps
+            # every rational value of the parse is over the parser's base,
+            # where equal denominators have equal exponents
+            same_den = self.denominator(left) == self.denominator(right)
             _cap_terms(an + bn if same_den else max(an * bd + bn * ad, ad * bd), pos)
+            left, right = self.operands(left, right)
             left = left + right if op == "+" else left - right
         return left
 
@@ -1311,12 +1497,16 @@ class _Parser:
             (an, ad), (bn, bd) = _sizes(left), _sizes(right)
             if op == "*":
                 _cap_terms(max(an * bn, ad * bd), pos)
+                left, right = self.operands(left, right)
                 left = left * right
             else:
                 if right.is_zero():
                     raise ParseError("division by zero expression", pos)
                 _cap_terms(max(an * bd, ad * bn), pos)
-                left = left / right
+                if type(right) is ChartPolynomial and right.is_constant():
+                    left = left.scale(right.constant_value().inverse())
+                else:
+                    left = self.lift(left) / self.lift(right)
         return left
 
     def power(self):
@@ -1344,7 +1534,7 @@ class _Parser:
                 )
             if exponent < 0 and base.is_zero():
                 raise ParseError("zero to a negative power", exp_tok[2])
-            degree = abs(exponent) * (_degree(base.num) + _degree(base.den))
+            degree = abs(exponent) * _total_degree(base)
             if degree > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", exp_tok[2]
@@ -1352,7 +1542,11 @@ class _Parser:
             # a power of t terms has at most comb(t + k - 1, k) terms
             k = abs(exponent)
             _cap_terms(max(math.comb(t + k - 1, k) for t in _sizes(base) if t), exp_tok[2])
-            return base ** exponent
+            if exponent >= 0 or type(base) is ChartExpr:
+                return base ** exponent
+            if base.is_constant():
+                return ChartPolynomial.constant(base.nvars, base.constant_value() ** exponent)
+            return self.lift(base) ** exponent
         return base
 
     def atom(self):
@@ -1360,10 +1554,10 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return self.leaf(ChartPolynomial.constant(2 * self.n, _integer(tok))), True
+            return ChartPolynomial.constant(2 * self.n, _integer(tok)), True
         if kind == "name":
             if text == "i":
-                return self.leaf(ChartPolynomial.constant(2 * self.n, GR_I)), True
+                return ChartPolynomial.constant(2 * self.n, GR_I), True
             if text.startswith("zb"):
                 idx_text, offset = text[2:], self.n
             elif text.startswith("z"):
@@ -1377,7 +1571,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {text!r} out of range for dimension {self.n}", pos
                 )
-            return self.leaf(ChartPolynomial.variable(2 * self.n, offset + index - 1)), True
+            return ChartPolynomial.variable(2 * self.n, offset + index - 1), True
         if kind == "(":
             inner = self.nested(self.sum, pos)
             self.expect(")")

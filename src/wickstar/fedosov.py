@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import weyl
 from .chart import FormSeries, TwoForm, _stored
-from .expr import GR_I, ChartExpr, ExprError, GaussianRational
+from .expr import GR_I, ChartExpr, ExprError, GaussianRational, _Sums
 from .weyl import NuSeries, WeylElement
 
 
@@ -126,6 +126,8 @@ def bernoulli(k):
 
 
 # -- the Fedosov data ------------------------------------------------------------------
+
+_MINUS_ONE = GaussianRational(-1)
 
 # a Fedosov entry of the store: the checked parts of r and the ad(r) tables
 _RSeries = namedtuple("_RSeries", "parts ad_ops")
@@ -247,7 +249,7 @@ class FedosovData:
         hit = memo.get(m)
         if hit is None:
             n = self.chart.n
-            acc = {}
+            sums = _Sums()
             for offset, gamma in ((0, self.conn.christoffel), (n, self.conn.christoffel_bar)):
                 for a in range(n):
                     e = m[offset + a]
@@ -262,14 +264,16 @@ class FedosovData:
                             sym[offset + a] -= 1
                             sym[offset + l] += 1
                             sym[offset + k] += 1
-                            _accumulate(acc, tuple(sym), g.scale(-e))
-            hit = memo[m] = _entries(acc)
+                            sums.add(tuple(sym), g, GaussianRational(-e))
+            hit = memo[m] = _entries(sums)
         return hit
 
     def _ad_op(self, l, m):
         """-(1/nu) ad(r_{l+2}) followed by delta_inv, without the 1/|sym'|
         of delta_inv, on a term of sym m and no antisymmetric symbols: a
-        list of ((dp, sym'), factor) sending nu^p c to nu^(p+dp) c * factor.
+        list of ((dp, sym', gain), factor) sending nu^p c to nu^(p+dp) c *
+        factor, where gain = dp + |sym'| - |m| >= 0 is what the entry adds to
+        the weight p + |m| of the term (see `tau`).
 
         A term of r with antisymmetric symbol dz^j contributes its forward
         contraction states with the term negatively and its backward ones
@@ -280,32 +284,39 @@ class FedosovData:
         if hit is None:
             kind, chart = self.kind, self.chart
             pairs = chart._derived((kind, "pairs"))
-            acc = {}
+            sums = _Sums()
             for (p1, m1, a1), c1 in self.r_parts[l + 2].terms.items():
                 j = a1.bit_length() - 1
                 if a1 != 1 << j:
                     raise ContractViolation(
                         "connection element has a term of antisymmetric degree other than 1"
                     )
+                # the weight gain of every entry of this term, p1 + |m1| - level >= 0
+                gain = p1 + sum(m1)
                 for negate, states in ((True, weyl._pair_contractions(kind, chart, m1, m, pairs)),
                                        (False, weyl._pair_contractions(kind, chart, m, m1, pairs))):
                     for level, sym, factor in states[1:]:
-                        c = weyl._times_factor(c1, factor)
-                        _accumulate(acc, (p1 - 1 + level, _raised(sym, j)), -c if negate else c)
-            hit = memo[l, m] = _entries(acc)
+                        _add_times(sums, (p1 - 1 + level, _raised(sym, j), gain - level),
+                                   c1, factor, negate)
+            hit = memo[l, m] = _entries(sums)
         return hit
 
 
-def _accumulate(acc, key, c):
-    """acc[key] += c."""
-    cur = acc.get(key)
-    acc[key] = c if cur is None else cur + c
+def _add_times(sums, key, c, factor, negate=False):
+    """sums[key] += c * factor, or -= with `negate`, for a factor of an
+    operator table or of `weyl._pair_contractions` (None is 1)."""
+    if factor is None:
+        sums.add(key, c, _MINUS_ONE if negate else None)
+    elif type(factor) is GaussianRational:
+        sums.add(key, c, -factor if negate else factor)
+    else:
+        sums.add_product(key, c, factor, _MINUS_ONE if negate else None)
 
 
-def _entries(acc):
+def _entries(sums):
     """The nonzero sums of an operator table entry as a list, a constant one
     held as a GaussianRational."""
-    return [(key, weyl._constant_or_expr(c)) for key, c in acc.items() if not c.is_zero()]
+    return [(key, weyl._constant_or_expr(c)) for key, c in sums.items()]
 
 
 def _raised(sym, j):
@@ -377,9 +388,10 @@ def _cut_degree(data, degree):
     return degree
 
 
-def _tau_step(data, parts):
+def _tau_step(data, parts, weight):
     """The part of degree k+1 of tau from its parts of degree 0..k:
-    delta_inv(nabla tau_k - sum_l (1/nu) ad(r_{l+2}) tau_{k-l}) in one pass.
+    delta_inv(nabla tau_k - sum_l (1/nu) ad(r_{l+2}) tau_{k-l}) in one pass,
+    without its terms of weight above `weight` (see `tau`).
 
     A part of tau has no antisymmetric symbols and every term of r has
     exactly one.  So every term of the bracket carries one antisymmetric
@@ -387,36 +399,36 @@ def _tau_step(data, parts):
     product, and taken out of a one-symbol word by delta_inv: both signs
     are +1, and the degree delta_inv divides by, |sym| + 1, is |sym'| for
     the output word sym' = sym + dz^j.  Each contribution is therefore added
-    straight to its output term (p, sym'), through the derivative of the
-    coefficient and the operator tables of `data`, and every output term is
-    divided by |sym'| once at the end.
+    straight to the integer sum of its output term (p, sym'), through the
+    derivative of the coefficient and the operator tables of `data`, and
+    every output term is read, divided by |sym'|, once at the end.
     """
     k = len(parts) - 1
-    acc = {}
+    sums = _Sums()
     nabla_ops = data.chart._derived("nabla_ops")
     for (p, m, _), c in parts[k].terms.items():
-        for j in range(len(m)):
-            dc = c.differentiate(j)
-            if not dc.is_zero():
-                _accumulate(acc, (p, _raised(m, j)), dc)
+        # the derivative and the Christoffel part add one symbol
+        if p + sum(m) >= weight:
+            continue
+        sums.add_gradient(c, lambda j, p=p, m=m: (p, _raised(m, j)))
         for sym, factor in data._nabla_op(nabla_ops, m):
-            _accumulate(acc, (p, sym), weyl._times_factor(c, factor))
+            _add_times(sums, (p, sym), c, factor)
     for l in range(k):
         if l + 2 not in data.r_parts:
             continue
         for (p, m, _), c in parts[k - l].terms.items():
-            for (dp, sym), factor in data._ad_op(l, m):
-                _accumulate(acc, (p + dp, sym), weyl._times_factor(c, factor))
-    terms = {
-        (p, sym, 0): c.scale(GaussianRational.ratio(1, sum(sym)))
-        for (p, sym), c in acc.items() if not c.is_zero()
-    }
+            room = weight - p - sum(m)
+            for (dp, sym, gain), factor in data._ad_op(l, m):
+                if gain <= room:
+                    _add_times(sums, (p + dp, sym), c, factor)
+    terms = {(p, sym, 0): c for (p, sym), c in sums.items(lambda key: sum(key[1]))}
     return WeylElement(data.chart.n, terms, data.K)
 
 
-def tau(data, f, degree=None):
+def tau(data, f, degree=None, weight=None):
     """The unique D-flat element with scalar part f, by the degree recursion,
-    up to total degree `degree` (default: the truncation K).
+    up to total degree `degree` (default: the truncation K); with `weight`,
+    only its terms nu^p y^m of weight p + |m| <= weight.
 
     The part of degree k+1 is built from the parts of degree <= k alone
     (nabla keeps the degree, (1/nu) ad(r) with deg r >= 2 does not lower it,
@@ -425,14 +437,34 @@ def tau(data, f, degree=None):
     nabla, (1/nu) ad(r) and delta_inv; the fusion is exact because a part of
     tau has no antisymmetric symbols and every term of r has exactly one,
     so delta_inv divides each output term by the size of its symmetric word
-    with sign +1.  The parts are cached per function and a request for a
-    higher degree resumes the recursion from the last one."""
+    with sign +1.
+
+    The weight cut is exact too, because no step lowers the weight.  The
+    derivative and the Christoffel part of nabla add one symbol: w' = w + 1.
+    A term nu^p_r y^m_r dz^j of r, contracted with a term of weight w at
+    level L <= |m_r|, gives nu^(p + p_r - 1 + L) and a word of |m| + |m_r|
+    - 2L + 1 symbols: w' = w + p_r + |m_r| - L >= w.  That needs the one
+    antisymmetric symbol of every term of r, which `_ad_op` enforces.  So a
+    term above the cut only ever feeds terms above it, and dropping them
+    leaves every term at or below the cut as it was.  σ at nu^N reads only
+    the terms of weight <= N, so `star` asks for no more.
+
+    The parts are cached per function and per weight cut, a cut series never
+    under the key of the full one, and a request for a higher degree
+    resumes the recursion from the last part."""
     degree = _cut_degree(data, degree)
     key = f.serialize()
+    if weight is None:
+        # no term of degree <= K has a weight above K
+        top = data.K
+    else:
+        if weight < 0:
+            raise FedosovError(f"tau weight {weight} is negative")
+        top, key = weight, (key, weight)
     parts = data.tau_cache.get(key)
     if parts is None or len(parts) <= degree:
         known = parts or (WeylElement.scalar(f, truncation=data.K),)
-        parts = data.tau_cache[key] = tuple(_by_degree(known, lambda p: _tau_step(data, p), degree))
+        parts = data.tau_cache[key] = tuple(_by_degree(known, lambda p: _tau_step(data, p, top), degree))
     return _joined(parts, degree)
 
 
@@ -451,9 +483,10 @@ def _require_order(data, N):
 def star(data, f, g, N):
     """f * g = sigma(tau(f) . tau(g)) as a series up to order N."""
     _require_order(data, N)
-    # sigma reads the terms of total degree <= 2N of either factor
-    tf = tau(data, f, 2 * N)
-    tg = tau(data, g, 2 * N)
+    # sigma reads the terms of weight <= N of either factor, all of total
+    # degree <= 2N
+    tf = tau(data, f, 2 * N, N)
+    tg = tau(data, g, 2 * N, N)
     scal = weyl.sigma_circ(tf, tg, data.kind, data.chart, max_nu=N)
     return weyl.to_nu_series(scal, N)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .expr import GR_I, GR_ONE, GR_ZERO, ChartExpr, GaussianRational, var_name
+from .expr import GR_I, GR_ONE, GR_ZERO, ChartExpr, GaussianRational, _Sums, var_name
 
 # 1/i = -i and 2/i = -2i: the couplings of the fibrewise products.
 INV_I = GaussianRational(0, -1)
@@ -663,10 +663,11 @@ def sigma_circ(a, b, kind, chart, max_nu):
     gives the kind (Wick: its dz, anti-Wick: its dzb, Weyl: both), and its
     partners in `b` are looked up by key: every multiset with as many dzb as
     it has dz and as many dz as it has dzb, at each nu power still in range.
+    Each nu-coefficient is summed in integers (`expr._Sums`) and read once.
     Returns a scalar WeylElement holding the nu-coefficients up to max_nu.
     """
     n = a.n
-    out = WeylElement(n, {}, 2 * max_nu)
+    sums = _Sums()
     zero_sym = (0,) * (2 * n)
     dz_side = any(not flipped for flipped, _ in _CONTRACTIONS[kind])
     dzb_side = any(flipped for flipped, _ in _CONTRACTIONS[kind])
@@ -688,11 +689,10 @@ def sigma_circ(a, b, kind, chart, max_nu):
                 if value is None:
                     value = full_contraction_value(m1, m2, kind, chart)
                 if type(value) is GaussianRational:
-                    if value:
-                        out._add(low + p2, zero_sym, 0, (c1 * c2).scale(value))
+                    sums.add_product(low + p2, c1, c2, value)
                 else:
-                    out._add(low + p2, zero_sym, 0, c1 * c2 * value)
-    return out
+                    sums.add_product(low + p2, c1 * c2, value)
+    return WeylElement(n, {(p, zero_sym, 0): c for p, c in sums.items()}, 2 * max_nu)
 
 
 # -- structural operators ---------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Each part of tau(f) must equal delta_inv(nabla x_k - sum_l (1/nu)
 ad(r_{l+2}) x_{k-l}) computed with the public Weyl-algebra operators from
-the parts below it, and the series must be D-flat.
+the parts below it, and the series must be D-flat.  The series `star`
+reads, cut at weight N, must be the full series without its terms of
+weight p + |m| above N.
 """
 
 import pytest
 
 from wickstar import weyl
 from wickstar.expr import parse
-from wickstar.fedosov import FedosovData, fedosov_D, tau
+from wickstar.fedosov import FedosovData, FedosovError, fedosov_D, tau
 from wickstar.weyl import WeylElement
 
 CHARTS = ("c2_flat_omega20", "c2_flat_skew", "disk_omega_inu", "cp1_omega_nu")
@@ -92,3 +94,46 @@ def test_tau_tables_are_built_once_per_key(request, name):
     assert ad_table.keys() == ad_ops.keys()
     assert all(nabla_table[m] is entry for m, entry in nabla_ops.items())
     assert all(ad_table[key] is entry for key, entry in ad_ops.items())
+
+
+def _weight(key):
+    p, m, _ = key
+    return p + sum(m)
+
+
+def _check_weight_cut(data, f, N):
+    """tau cut at weight N is the full tau to degree 2N restricted to the
+    terms of weight <= N, and the cut reaches N: a cut one lower fails."""
+    cut = tau(data, f, 2 * N, N)
+    full = tau(data, f, 2 * N)
+    want = {key: c for key, c in full.terms.items() if _weight(key) <= N}
+    assert max(map(_weight, cut.terms)) == N
+    assert cut.terms.keys() == want.keys()
+    assert all(cut.terms[key] == c for key, c in want.items())
+    assert cut.truncation == full.truncation == 2 * N
+    assert any(_weight(key) > N for key in full.terms)
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", CHARTS)
+def test_tau_cut_at_a_weight_is_the_full_tau_restricted(request, name, kind):
+    chart = request.getfixturevalue(name)
+    f = _function(chart)
+    for N in range(1, (K - 2) // 2 + 1):
+        # the cut series first, so that the full one cannot be served from it
+        data = FedosovData(kind, chart, K=K)
+        _check_weight_cut(data, f, N)
+        _check_against_composition(data, f)
+        assert {f.serialize(), (f.serialize(), N)} <= data.tau_cache.keys()
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+def test_tau_cut_at_a_weight_on_ball2(ball2, kind):
+    data = FedosovData(kind, ball2, K=4)
+    _check_weight_cut(data, _function(ball2), 1)
+
+
+def test_tau_refuses_a_negative_weight(disk):
+    data = FedosovData("wick", disk, K=4)
+    with pytest.raises(FedosovError):
+        tau(data, parse("z1", 1), 2, -1)
