@@ -12,8 +12,6 @@ error, never a warning.
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 from . import weyl
@@ -22,6 +20,7 @@ from .expr import (
     ChartExpr,
     ExprError,
     GaussianRational,
+    _stored,
     factor_base as interned_base,
     parse,
     var_name,
@@ -425,37 +424,13 @@ def poisson_bracket(chart, f, g):
 
 # -- the chart -------------------------------------------------------------------
 
-# the most entries the store holds; a full store evicts the least recently used
-_STORE_BOUND = 256
-_STORE = OrderedDict()
-_STORE_LOCK = threading.Lock()
-
-
-def _stored(key, entry=None):
-    """The one store of values derived from charts, keyed by value: the
-    entry under `key`, now the most recently used, or None; given `entry`,
-    publishes it whole under `key` first.  Tables in an entry map keys to
-    finished values, so other threads see values whole or not at all.  A
-    new key evicts before it is inserted, so a reader that does not take
-    the lock never sees more entries than the bound."""
-    with _STORE_LOCK:
-        if entry is not None:
-            if key not in _STORE:
-                while len(_STORE) >= _STORE_BOUND:
-                    _STORE.popitem(last=False)
-            _STORE[key] = entry
-        elif key not in _STORE:
-            return None
-        _STORE.move_to_end(key)
-        return _STORE[key]
-
 
 class Chart:
     """Immutable chart data with lazily derived geometry.
 
     The derived geometry and the kernels' tables live in the chart's
-    geometry entry of the store, so charts with equal metrics share them
-    and a chart holds none of its own.  The tau cache is on `FedosovData`.
+    geometry entry of the store (`expr._stored`), so charts with equal
+    metrics share them and a chart holds none of its own.  The tau cache is on `FedosovData`.
     """
 
     def __init__(self, n, metric, inverse_metric, factor_base=(),
@@ -659,6 +634,29 @@ def load_chart(source):
         if field not in doc:
             raise ChartError(f"chart document is missing `{field}`")
 
+    def matrix_texts(field):
+        """The entries of `field` as n rows of n, checked for shape only."""
+        rows = _expect(doc[field], list, f"`{field}`")
+        if rows and isinstance(rows[0], str):
+            if len(rows) != n * n:
+                raise ChartError(f"`{field}` must hold n*n entries (row-major)")
+            return [rows[i * n : (i + 1) * n] for i in range(n)]
+        if len(rows) != n:
+            raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
+        for row in rows:
+            if len(_expect(row, list, f"`{field}` rows")) != n:
+                raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
+        return rows
+
+    # the shapes are checked before any entry is parsed: parsing works in
+    # 2n variables, so a small document with a huge `dimension` fails here
+    metric_texts = matrix_texts("metric")
+    inverse_texts = matrix_texts("inverse_metric")
+    gradient_texts = doc.get("potential_gradient")
+    if gradient_texts is not None:
+        if len(_expect(gradient_texts, list, "`potential_gradient`")) != n:
+            raise ChartError("potential gradient needs one entry per holomorphic coordinate")
+
     base = []
     for text in _expect(doc.get("factor_base", []), list, "`factor_base`"):
         poly_expr = _parse_text(text, n, (), "factor base entries")
@@ -680,32 +678,15 @@ def load_chart(source):
                 f"factor base entry {entry.render()!r} needs its conjugate {conj.render()!r} in the base"
             )
 
-    def load_matrix(field):
-        rows = _expect(doc[field], list, f"`{field}`")
-        what = f"`{field}` entries"
-        if rows and isinstance(rows[0], str):
-            if len(rows) != n * n:
-                raise ChartError(f"`{field}` must hold n*n entries (row-major)")
-            flat = [_parse_text(t, n, base, what) for t in rows]
-            return [flat[i * n : (i + 1) * n] for i in range(n)]
-        if len(rows) != n:
-            raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
-        out = []
-        for row in rows:
-            if len(_expect(row, list, f"`{field}` rows")) != n:
-                raise ChartError(f"`{field}` must be an n x n matrix (row-major)")
-            out.append([_parse_text(t, n, base, what) for t in row])
-        return out
+    def parsed(rows, field):
+        return [[_parse_text(t, n, base, f"`{field}` entries") for t in row] for row in rows]
 
-    metric = load_matrix("metric")
-    inverse = load_matrix("inverse_metric")
-
+    metric = parsed(metric_texts, "metric")
+    inverse = parsed(inverse_texts, "inverse_metric")
     gradient = None
-    if doc.get("potential_gradient") is not None:
-        gradient = tuple(
-            _parse_text(t, n, base, "`potential_gradient` entries")
-            for t in _expect(doc["potential_gradient"], list, "`potential_gradient`")
-        )
+    if gradient_texts is not None:
+        gradient = tuple(_parse_text(t, n, base, "`potential_gradient` entries")
+                         for t in gradient_texts)
 
     chart = Chart(n, metric, inverse, base, gradient, None, name=name)
     chart.validate()

@@ -23,7 +23,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from bisect import insort
+from collections import OrderedDict
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -604,9 +606,31 @@ def _sum(p, q, sign):
     return _reduced(p.nvars, out, d)
 
 
-_FACTORS = {}
-_BASES = {}
-_ONE_CACHE = {}
+# -- the store ---------------------------------------------------------------
+
+# the most entries the store holds; a full store evicts the least recently used
+_STORE_BOUND = 256
+_STORE = OrderedDict()
+_STORE_LOCK = threading.Lock()
+
+
+def _stored(key, entry=None):
+    """The engine's one store of derived values, keyed by value: the entry
+    under `key`, now the most recently used, or None; given `entry`,
+    publishes it whole under `key` first.  Tables in an entry map keys to
+    finished values, so other threads see values whole or not at all.  A
+    new key evicts before it is inserted, so a reader that does not take
+    the lock never sees more entries than the bound."""
+    with _STORE_LOCK:
+        if entry is not None:
+            if key not in _STORE:
+                while len(_STORE) >= _STORE_BOUND:
+                    _STORE.popitem(last=False)
+            _STORE[key] = entry
+        elif key not in _STORE:
+            return None
+        _STORE.move_to_end(key)
+        return _STORE[key]
 
 
 def _divider(divisor):
@@ -741,27 +765,23 @@ class _Factor:
         return powers[k]
 
 
-def _factor(poly):
-    hit = _FACTORS.get(poly)
-    if hit is None:
-        hit = _FACTORS[poly] = _Factor(poly)
-    return hit
-
-
 class _FactorBase(tuple):
     """A factor base: the tuple of its polynomials, with their `_Factor`s.
 
-    Interned by value, so the values of one chart share one object and most
-    base comparisons are identity tests.  Entries are checked to have no
-    monomial factor, and no entry may repeat or divide another; irreducible,
-    pairwise coprime entries are the chart author's promise.
+    Interned by value in the store, so the values of one chart share one
+    object and most base comparisons are identity tests.  Entries are
+    checked to have no monomial factor, and no entry may repeat or divide
+    another; irreducible, pairwise coprime entries are the chart author's
+    promise.  `zero_values` and `one_values` hold the zero and the one over
+    the base, one per number of coordinates.
     """
 
     def __new__(cls, polys):
         self = super().__new__(cls, polys)
-        self.factors = tuple(_factor(b) for b in self)
+        self.factors = tuple(_Factor(b) for b in self)
         self.zeros = (0,) * len(self)
         self.zero_values = {}
+        self.one_values = {}
         for i, fi in enumerate(self.factors):
             for j, fj in enumerate(self.factors):
                 if i == j:
@@ -774,8 +794,12 @@ class _FactorBase(tuple):
         return self
 
 
+_NO_BASE = _FactorBase(())
+
+
 def factor_base(polys):
-    """The validated factor base of the polynomials `polys`, interned.
+    """The validated factor base of the polynomials `polys`, interned as a
+    base entry of the store.
 
     Raises ExprError for a constant entry, an entry with a monomial factor,
     or an entry that repeats (up to a constant) or divides another.
@@ -783,20 +807,21 @@ def factor_base(polys):
     if type(polys) is _FactorBase:
         return polys
     polys = tuple(polys)
-    hit = _BASES.get(polys)
-    if hit is None:
-        hit = _BASES[polys] = _FactorBase(polys)
-    return hit
+    if not polys:
+        return _NO_BASE
+    key = ("base", polys)
+    return _stored(key) or _stored(key, _FactorBase(polys))
 
 
 def _joined_base(b1, b2):
     """The base of a value combined from values over b1 and b2: b1 followed
-    by the entries of b2 it lacks."""
+    by the entries of b2 it lacks, b1 itself when it lacks none."""
     if b1 is b2 or not b2:
         return b1
     if not b1:
         return b2
-    return factor_base(b1 + tuple(b for b in b2 if b not in b1))
+    extra = tuple(b for b in b2 if b not in b1)
+    return factor_base(b1 + extra) if extra else b1
 
 
 def _new(num, mono, exps, base):
@@ -814,6 +839,14 @@ def _zero(nvars, base):
     hit = base.zero_values.get(nvars)
     if hit is None:
         hit = base.zero_values[nvars] = _new(_poly(nvars, {}, 1), 0, base.zeros, base)
+    return hit
+
+
+def _one(nvars, base):
+    """The one over `base`, shared as `_zero` shares zeros."""
+    hit = base.one_values.get(nvars)
+    if hit is None:
+        hit = base.one_values[nvars] = _new(ChartPolynomial.one(nvars), 0, base.zeros, base)
     return hit
 
 
@@ -915,15 +948,11 @@ class ChartExpr:
 
     @staticmethod
     def zero(n):
-        return _zero(2 * n, factor_base(()))
+        return _zero(2 * n, _NO_BASE)
 
     @staticmethod
     def one(n):
-        hit = _ONE_CACHE.get(n)
-        if hit is None:
-            hit = ChartExpr(ChartPolynomial.one(2 * n))
-            _ONE_CACHE[n] = hit
-        return hit
+        return _one(2 * n, _NO_BASE)
 
     @staticmethod
     def constant(n, value):
@@ -1091,7 +1120,7 @@ class ChartExpr:
         if k < 0:
             return ChartExpr.one(self.n) / self ** (-k)
         # repeated multiplication, as in ChartPolynomial.__pow__
-        result = ChartExpr.one(self.n).with_base(self.base)
+        result = _one(self.nvars, self.base)
         for _ in range(k):
             result = result * self
         return result

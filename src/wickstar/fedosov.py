@@ -18,14 +18,13 @@ from any seed, as the witness of uniqueness.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import weyl
-from .chart import FormSeries, TwoForm, _stored
-from .expr import GR_I, ChartExpr, ExprError, GaussianRational, _Sums
+from .chart import FormSeries, TwoForm
+from .expr import GR_I, ChartExpr, ExprError, GaussianRational, _stored, _Sums
 from .weyl import NuSeries, WeylElement
 
 
@@ -147,7 +146,8 @@ class FedosovData:
     before it is published, and a check at K holds at every smaller K.
 
     Immutable after construction apart from `tau_cache` and the store's
-    tables; `tau_cache` maps serialized functions to the tuple of homogeneous
+    tables; `tau_cache` maps functions, keyed by their canonical fields (and
+    by the weight cut, for a cut series), to the tuple of homogeneous
     parts of tau(f) computed so far, of degree 0..len(parts)-1.
     """
 
@@ -425,6 +425,12 @@ def _tau_step(data, parts, weight):
     return WeylElement(data.chart.n, terms, data.K)
 
 
+def _tau_key(f):
+    """The key of tau(f) in `tau_cache`: the canonical fields of f, which do
+    not depend on the factor base f is held over."""
+    return (f.num, f._mono, tuple((b, e) for b, e in zip(f.base, f._exps) if e))
+
+
 def tau(data, f, degree=None, weight=None):
     """The unique D-flat element with scalar part f, by the degree recursion,
     up to total degree `degree` (default: the truncation K); with `weight`,
@@ -453,7 +459,7 @@ def tau(data, f, degree=None, weight=None):
     under the key of the full one, and a request for a higher degree
     resumes the recursion from the last part."""
     degree = _cut_degree(data, degree)
-    key = f.serialize()
+    key = _tau_key(f)
     if weight is None:
         # no term of degree <= K has a weight above K
         top = data.K
@@ -517,47 +523,6 @@ def star_series(data, F, G, N):
     return out
 
 
-# the most derivative tables `closed_form_flat` keeps per geometry entry and
-# direction; a full memo is emptied before the next insert, so a long-lived
-# process stays bounded
-_DERIVATIVE_TABLES = 1024
-
-
-def _derivative_table(chart, expr, offsets, max_order, tag):
-    """All iterated derivatives of expr along the given coordinate block up
-    to order max_order, indexed by multi-index; memoized per order, at most
-    _DERIVATIVE_TABLES tables per geometry entry and direction."""
-    memo = chart._derived(("cf_derivs", tag))
-    key = (expr.serialize(), max_order)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    n = chart.n
-    table = {(0,) * n: expr}
-    frontier = {(0,) * n: expr}
-    for _ in range(max_order):
-        nxt = {}
-        for alpha, val in frontier.items():
-            for j in range(n):
-                beta = list(alpha)
-                beta[j] += 1
-                beta = tuple(beta)
-                if beta in table or beta in nxt:
-                    continue
-                d = val.differentiate(offsets[j])
-                if d.is_zero():
-                    continue
-                nxt[beta] = d
-        if not nxt:
-            break
-        table.update(nxt)
-        frontier = nxt
-    if len(memo) >= _DERIVATIVE_TABLES:
-        memo.clear()
-    memo[key] = table
-    return table
-
-
 def closed_form_flat(chart, f, g, kind, N):
     """The explicit exponential formulas on a flat chart; the independent
     oracle for the Fedosov product there."""
@@ -567,40 +532,9 @@ def closed_form_flat(chart, f, g, kind, N):
         raise FedosovError("closed-form product requires a flat chart")
     n = chart.n
     coupling = GaussianRational(0, -2) if kind == "wick" else GaussianRational(0, 2)
-    diagonal = all(
-        chart.inverse_metric[k][l].is_zero()
-        for k in range(n) for l in range(n) if k != l
-    )
     out = NuSeries.zeros(n, N)
-    if diagonal:
-        # sum over multi-indices: coupling^|a| * prod g^{kk}^{a_k} / a! *
-        # (d^a f)(d^a-bar g); the derivative tables are cached per function
-        hol = tuple(range(n))
-        ahol = tuple(range(n, 2 * n))
-        if kind == "wick":
-            tf = _derivative_table(chart, f, hol, N, "z")
-            tg = _derivative_table(chart, g, ahol, N, "zb")
-        else:
-            tf = _derivative_table(chart, f, ahol, N, "zb")
-            tg = _derivative_table(chart, g, hol, N, "z")
-        weights = chart._derived(("cf_weights", kind))
-        diag = [chart.inverse_metric[k][k].constant_value() for k in range(n)]
-        for alpha, df in tf.items():
-            order = sum(alpha)
-            if order > N:
-                continue
-            dg = tg.get(alpha)
-            if dg is None:
-                continue
-            factor = weights.get(alpha)
-            if factor is None:
-                factor = coupling ** order
-                for k, e in enumerate(alpha):
-                    factor = factor * diag[k] ** e / math.factorial(e)
-                weights[alpha] = factor
-            out.coeffs[order] = out.coeffs[order] + (df * dg).scale(factor)
-        return out
-    # general constant metric: iterate the contraction states directly
+    # the exponential of the contraction by the constant inverse metric,
+    # one level per power of nu, iterated over contraction states
     states = [(f, g, ChartExpr.one(n))]
     out.coeffs[0] = f * g
     for level in range(1, N + 1):

@@ -19,7 +19,6 @@ finitary exactly on this filtration.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .expr import GR_I, GR_ONE, GR_ZERO, ChartExpr, GaussianRational, _Sums, var_name
@@ -638,13 +637,10 @@ def full_contraction_value(m1, m2, kind, chart):
     return value
 
 
-@functools.lru_cache(maxsize=1024)
 def _partners(n, hol, ahol):
     """The sym multisets over n coordinates with `ahol` dz and `hol` dzb
     symbols: the partners a multiset with `hol` dz and `ahol` dzb can fully
-    contract with, each dz meeting a dzb.  hol + ahol is at most the
-    requested nu order; the size bound keeps the memo finite for a library
-    caller past the CLI's order cap."""
+    contract with, each dz meeting a dzb."""
 
     def spread(total, slots):
         if slots == 1:
@@ -663,6 +659,7 @@ def sigma_circ(a, b, kind, chart, max_nu):
     gives the kind (Wick: its dz, anti-Wick: its dzb, Weyl: both), and its
     partners in `b` are looked up by key: every multiset with as many dzb as
     it has dz and as many dz as it has dzb, at each nu power still in range.
+    The partner multisets are a table of the chart's geometry entry.
     Each nu-coefficient is summed in integers (`expr._Sums`) and read once.
     Returns a scalar WeylElement holding the nu-coefficients up to max_nu.
     """
@@ -672,6 +669,7 @@ def sigma_circ(a, b, kind, chart, max_nu):
     dz_side = any(not flipped for flipped, _ in _CONTRACTIONS[kind])
     dzb_side = any(flipped for flipped, _ in _CONTRACTIONS[kind])
     memo = chart._derived(kind)
+    partners = chart._derived("partners")
     for (p1, m1, a1), c1 in a.terms.items():
         if a1:
             continue
@@ -679,7 +677,10 @@ def sigma_circ(a, b, kind, chart, max_nu):
         low = p1 + hol + ahol
         if low > max_nu or (hol and not dz_side) or (ahol and not dzb_side):
             continue
-        for m2 in _partners(n, hol, ahol):
+        words = partners.get((hol, ahol))
+        if words is None:
+            words = partners[hol, ahol] = _partners(n, hol, ahol)
+        for m2 in words:
             for p2 in range(max_nu - low + 1):
                 c2 = b.terms.get((p2, m2, 0))
                 if c2 is None:

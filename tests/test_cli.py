@@ -2,6 +2,7 @@
 
 import json
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +272,20 @@ def test_deep_nesting_is_a_user_error(capsys, tmp_path):
     code, out, err = run(capsys, "describe", "--chart", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "nesting" in err
+
+
+def test_huge_dimension_with_small_matrices_is_a_user_error(capsys, tmp_path):
+    """A copy of the bundled disk claiming a dimension of a million fails on
+    the shape of its matrices at once, before any entry is parsed in two
+    million variables."""
+    doc = json.loads(resources.files("wickstar").joinpath("charts/disk.json").read_text())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**doc, "dimension": 1_000_000}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "describe", "--chart", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "metric" in err
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):

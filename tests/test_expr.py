@@ -604,15 +604,15 @@ def test_equal_factored_values_serialize_equally(case, var):
 
 
 def _expr_table_size():
-    """Entries of the module-level tables of wickstar.expr, counting the
-    stored powers of each factor-base entry."""
+    """Entries of the module-level tables of wickstar.expr, the store among
+    them, counting the stored powers of each entry of a stored factor base."""
     from wickstar import expr as expr_module
 
     size = 0
     for table in vars(expr_module).values():
         if isinstance(table, dict):
             size += len(table)
-            size += sum(len(v.powers) for v in table.values() if hasattr(v, "powers"))
+            size += sum(len(f.powers) for v in table.values() for f in getattr(v, "factors", ()))
     return size
 
 

@@ -1,14 +1,20 @@
-"""Hostile `--f`/`--g` text through `cli.main`, in-process.
+"""Hostile `--f`/`--g` text and hostile chart documents through
+`cli.main`, in-process.
 
 A seeded grammar of hostile shapes: deep and unbalanced nesting, long runs
 of unary minus, huge integers as literals and exponents, long sums, nested
 and negative powers, quotients by zero and by factors outside the chart's
-base, and random character soup.  Every case must exit 0 or 1, print at
-most one `error:` line, and never a traceback.
+base, and random character soup.  Chart documents are the bundled disk
+with one field spoiled: wrong JSON types, unknown keys, a huge or boolean
+`dimension`, small matrices under a huge dimension, a huge `nu_power`,
+malformed form keys, and denominators and base entries the base does not
+admit.  Every case must exit 0 or 1, print at most one `error:` line, and
+never a traceback, within the deadline.
 """
 
 import contextlib
 import io
+import json
 from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
@@ -49,14 +55,83 @@ def hostile(draw):
     return draw(st.text(alphabet="z1b()+-*/^ 0123456789i.", max_size=80))
 
 
-@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True)
-@given(hostile(), st.sampled_from(("c1_flat", "disk")), st.booleans())
-def test_hostile_operands_exit_0_or_1_without_a_traceback(text, chart, as_f):
-    f, g = (text, "zb1") if as_f else ("z1", text)
+def _check_run(argv):
+    """main(argv) exits 0 or 1, with one `error:` line exactly when it fails
+    and no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["star", "--chart", chart, "--order", "1", f"--f={f}", f"--g={g}"])
+        code = main(argv)
     assert code in (0, 1)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) == (code == 1)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10), derandomize=True)
+@given(hostile(), st.sampled_from(("c1_flat", "disk")), st.booleans())
+def test_hostile_operands_exit_0_or_1_without_a_traceback(text, chart, as_f):
+    f, g = (text, "zb1") if as_f else ("z1", text)
+    _check_run(["star", "--chart", chart, "--order", "1", f"--f={f}", f"--g={g}"])
+
+
+DISK = {"name": "disk", "dimension": 1, "metric": [["2/(1 - z1*zb1)^2"]],
+        "inverse_metric": [["(1 - z1*zb1)^2/2"]], "factor_base": ["1 - z1*zb1"],
+        "potential_gradient": ["i*zb1/(1 - z1*zb1)"],
+        "omega_series": [{"nu_power": 1, "form": "omega"}]}
+JSON_VALUES = (None, True, False, 0, -1, 2.5, 10**30, "", "z1", "1", [], {}, [[]], [None],
+               ["1", 2], [["1"], "1"], {"nu_power": 1}, [{"form": "omega"}])
+HUGE = (2, 3, 50_000, 1_000_000, 10**18, 10**100)
+FORM_KEYS = ("dz1", "dz1^dz1", "dzb1^dz1", "dz0^dzb1", "dz1^dzb2", "dz1^dzb1^dz1", "dq1^dzb1",
+             "dz1^dzb" + "9" * 30, "dz^dzb", "", "^", " dz1 ^ dzb1 ", "dzb1^dzb1", "dz-1^dzb1")
+OUTSIDE = ("1/(1 + z1*zb1)", "1/(z1 - 1)", "2/(1 - z1*zb1)^3", "1/(1 - z1*zb1)^64",
+           "1/0", "z1/(z1 - z1)", "(1 - z1*zb1)^-1", "1/(2 - z1*zb1)", "1/zb1")
+BASES = (["1 + z1"], ["z1*zb1"], ["2"], ["1 - z1*zb1", "1 - z1*zb1"], ["1/(1 - z1)"],
+         ["1 - z1*zb1", "2 - 2*z1*zb1"], ["(1 - z1*zb1)^2"], ["1 - z1*zb1", "1 + z1*zb1"],
+         ["z2"], [""], ["1 - z1*zb1"] * 40)
+CHART_SHAPES = ("type", "unknown", "dimension", "small", "nu_power", "form_key", "outside",
+                "base")
+
+
+@st.composite
+def hostile_chart(draw):
+    doc = json.loads(json.dumps(DISK))
+    shape = draw(st.sampled_from(CHART_SHAPES))
+    if shape == "type":
+        doc[draw(st.sampled_from(sorted(DISK)))] = draw(st.sampled_from(JSON_VALUES))
+    elif shape == "unknown":
+        doc[draw(st.text(max_size=8))] = draw(st.sampled_from(JSON_VALUES))
+    elif shape == "dimension":
+        doc["dimension"] = draw(st.sampled_from((True, False, 0, -3, 1.0, "1") + HUGE))
+    elif shape == "small":
+        # matrices of dimension 1 or less, written in either layout
+        doc["dimension"] = draw(st.sampled_from(HUGE))
+        field = draw(st.sampled_from(("metric", "inverse_metric", "potential_gradient")))
+        doc[field] = draw(st.sampled_from(([], ["1"], [["1"]], [["1"], ["1"]], ["1", "0"])))
+    elif shape == "nu_power":
+        power = draw(st.sampled_from((10**9, 10**30, 0, -1, 2, True, "1", None)))
+        doc["omega_series"] = [{"nu_power": power, "form": draw(st.sampled_from(
+            ("omega", "2*omega", {"dz1^dzb1": "i/(1 - z1*zb1)^2"})))}]
+    elif shape == "form_key":
+        doc["omega_series"] = [{"nu_power": 1, "form": {draw(st.sampled_from(FORM_KEYS)): "1"}}]
+    elif shape == "outside":
+        field = draw(st.sampled_from(("metric", "inverse_metric", "potential_gradient", "form")))
+        text = draw(st.sampled_from(OUTSIDE))
+        if field == "form":
+            doc["omega_series"] = [{"nu_power": 1, "form": {"dz1^dzb1": text}}]
+        else:
+            doc[field] = [text] if field == "potential_gradient" else [[text]]
+    else:
+        doc["factor_base"] = draw(st.sampled_from(BASES))
+    return doc
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(hostile_chart(), st.booleans())
+def test_hostile_chart_documents_exit_0_or_1_without_a_traceback(tmp_path_factory, doc,
+                                                                 describe):
+    path = tmp_path_factory.getbasetemp() / "hostile_chart.json"
+    path.write_text(json.dumps(doc))
+    if describe:
+        _check_run(["describe", "--chart", str(path)])
+    else:
+        _check_run(["star", "--chart", str(path), "--order", "1", "--f", "z1", "--g", "zb1"])

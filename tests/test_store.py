@@ -9,6 +9,7 @@ store computes or extends is checked, and that memory stays bounded.
 """
 
 import contextlib
+import gc
 import io
 import sys
 import threading
@@ -18,13 +19,13 @@ import pytest
 import test_ball2_golden
 import test_star_golden
 import test_verify_golden
-from wickstar import chart as chart_module
+from wickstar import expr as expr_module
 from wickstar.chart import load_chart
 from wickstar.cli import main
 from wickstar.expr import parse
-from wickstar.fedosov import ContractViolation, FedosovData, star
+from wickstar.fedosov import ContractViolation, FedosovData, _RSeries, star
 
-STORE = chart_module._STORE
+STORE = expr_module._STORE
 CHART_FIELDS = {"n", "metric", "inverse_metric", "factor_base", "potential_gradient",
                 "omega_series", "name", "_key"}
 # the metric of the bundled disk, in a document of its own
@@ -33,7 +34,7 @@ DISK = {"dimension": 1, "metric": [["2/(1 - z1*zb1)^2"]],
 
 
 def _clear_store():
-    with chart_module._STORE_LOCK:
+    with expr_module._STORE_LOCK:
         STORE.clear()
 
 
@@ -74,7 +75,7 @@ def test_warm_and_thrashing_store_give_the_cold_bytes(ball2, monkeypatch, r_call
     r_calls["verify"].clear()
     warm = _golden_pass(ball2)
     assert r_calls == {"compute": [], "verify": []}
-    monkeypatch.setattr(chart_module, "_STORE_BOUND", 1)
+    monkeypatch.setattr(expr_module, "_STORE_BOUND", 1)
     _clear_store()
     thrashing = _golden_pass(ball2)
     assert len(STORE) <= 1
@@ -105,6 +106,8 @@ def _stored_values():
                     continue
                 for k, v in value.items():
                     out[key, repr(name), repr(k)] = _frozen(v)
+        elif isinstance(entry, expr_module._FactorBase):
+            out[key, "base"] = _frozen(entry)
         else:
             out[key, "parts"] = _frozen(entry.parts)
             for k, v in entry.ad_ops.items():
@@ -165,7 +168,7 @@ def test_a_failed_check_publishes_nothing(disk, monkeypatch, r_calls):
         patch.setattr(FedosovData, "verify_r", failing)
         with pytest.raises(ContractViolation):
             FedosovData("weyl", disk, 6)
-    assert not any(isinstance(entry, tuple) for entry in STORE.values())
+    assert not any(isinstance(entry, _RSeries) for entry in STORE.values())
     FedosovData("weyl", disk, 6)
     assert r_calls == {"compute": [6, 6], "verify": [6]}
 
@@ -190,9 +193,28 @@ def test_store_stays_bounded_over_3000_charts():
         f, g = parse("z1", 1), parse("zb1", 1)
         series = star(FedosovData("wick", chart, 4), f, g, 1)
         assert series.coeffs[1] == parse(f"-2*i/{k}", 1)
-        assert len(STORE) <= chart_module._STORE_BOUND
+        assert len(STORE) <= expr_module._STORE_BOUND
         assert set(vars(chart)) == CHART_FIELDS and isinstance(chart._key, str)
-    assert len(STORE) == chart_module._STORE_BOUND
+    assert len(STORE) == expr_module._STORE_BOUND
+
+
+def test_factor_bases_stay_bounded_over_charts_with_bases():
+    """Three times the bound of distinct curved charts, each with a factor
+    base of its own, one order-1 star product on each: the base entries
+    age in the store with the rest, so the store stays within its bound
+    and fewer bases than the bound stay alive."""
+    _clear_store()
+    bound = expr_module._STORE_BOUND
+    for k in range(1, 3 * bound + 1):
+        b = f"1 + {k}*z1*zb1"
+        chart = load_chart({"dimension": 1, "metric": [[f"1/({b})^2"]],
+                            "inverse_metric": [[f"({b})^2"]], "factor_base": [b]})
+        series = star(FedosovData("wick", chart, 4), parse("z1", 1), parse("zb1", 1), 1)
+        assert series.coeffs[1] == parse(f"-2*i*({b})^2", 1)
+        assert len(STORE) <= bound
+    del chart, series
+    gc.collect()
+    assert sum(isinstance(o, expr_module._FactorBase) for o in gc.get_objects()) < bound
 
 
 def test_threads_sharing_a_small_store_get_the_serial_results(disk, cp1, monkeypatch):
@@ -211,7 +233,7 @@ def test_threads_sharing_a_small_store_get_the_serial_results(disk, cp1, monkeyp
         return star(FedosovData(kind, chart, 2 * order + 2), f, g, order).render_lines()
 
     want = [run(*job) for job in jobs]
-    monkeypatch.setattr(chart_module, "_STORE_BOUND", 4)
+    monkeypatch.setattr(expr_module, "_STORE_BOUND", 4)
     _clear_store()
     got, errors = {}, []
 
