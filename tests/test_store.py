@@ -1,6 +1,7 @@
 """The one store of derived values: keyed by value, bounded, checked.
 
-Charts with equal metrics share one geometry entry (connection, curvature,
+Equal factor bases share one base entry (the interned base), charts with
+equal metrics share one geometry entry (connection, curvature,
 contraction and operator tables), and Fedosov data of equal value share
 one Fedosov entry (the checked parts of r and the ad(r) tables).  These
 tests pin that a warm store and a thrashing one give the bytes of a cold
