@@ -1249,9 +1249,14 @@ class _Sums:
             self.base = joined
         return c._over(joined)
 
-    def _put(self, key, group, t, d, va=1, vb=0):
-        """sums[key] += (va + vb*i) * t/d in the group of denominator
-        `group`, for a term dict t and (va, vb) != (0, 0)."""
+    def _put(self, key, group, t, d, factor=None, sign=1):
+        """sums[key] += sign * factor * t/d in the group of denominator
+        `group`, for a term dict t, a nonzero GaussianRational factor (None
+        is 1) and a sign of +-1."""
+        if factor is None:
+            va, vb = sign, 0
+        else:
+            va, vb, d = sign * factor.a, sign * factor.b, d * factor.d
         groups = self.sums.get(key)
         if groups is None:
             groups = self.sums[key] = {}
@@ -1289,16 +1294,17 @@ class _Sums:
                     continue
             pairs[k] = (a, b)
 
-    def add(self, key, c, value=None):
-        """sums[key] += c * value, for a GaussianRational value (None is 1)."""
-        if not c.num._t or (value is not None and not value):
+    def add(self, key, c, factor=None, sign=1):
+        """sums[key] += sign * c * factor, for a sign of +-1 and a factor in
+        any form a contraction factor takes: None for 1, a GaussianRational
+        or a ChartExpr."""
+        if type(factor) is ChartExpr:
+            self.add_product(key, c, factor, None, sign)
+            return
+        if not c.num._t or (factor is not None and not factor):
             return
         c = self._over(c)
-        num = c.num
-        if value is None:
-            self._put(key, (c._mono, c._exps), num._t, num._d)
-        else:
-            self._put(key, (c._mono, c._exps), num._t, num._d * value.d, value.a, value.b)
+        self._put(key, (c._mono, c._exps), c.num._t, c.num._d, factor, sign)
 
     def add_gradient(self, c, key):
         """sums[key(j)] += the derivative of c along x_j, for every x_j it
@@ -1322,10 +1328,15 @@ class _Sums:
                     t[k - unit] = (a * e, b * e)
             self._put(key(j), group, t, num._d)
 
-    def add_product(self, key, c1, c2, value=None):
-        """sums[key] += c1 * c2 * value: the numerators are multiplied and the
-        denominators' exponents added, with nothing cancelled."""
-        if not c1.num._t or not c2.num._t or (value is not None and not value):
+    def add_product(self, key, c1, c2, factor=None, sign=1):
+        """sums[key] += sign * c1 * c2 * factor, for a sign and a factor as
+        `add` takes them: the numerators are multiplied and the
+        denominators' exponents added, with nothing cancelled.  With a
+        ChartExpr factor, c1 * c2 is formed as a ChartExpr first, so no more
+        than two numerators are multiplied uncancelled."""
+        if type(factor) is ChartExpr:
+            c1, c2, factor = c1 * c2, factor, None
+        if not c1.num._t or not c2.num._t or (factor is not None and not factor):
             return
         c1 = self._over(c1)
         c2 = self._over(c2)
@@ -1333,10 +1344,7 @@ class _Sums:
         c1 = c1._over(self.base)
         num = c1.num * c2.num
         group = (_mono_product(c1._mono, c2._mono, num.nvars), _added(c1._exps, c2._exps))
-        if value is None:
-            self._put(key, group, num._t, num._d)
-        else:
-            self._put(key, group, num._t, num._d * value.d, value.a, value.b)
+        self._put(key, group, num._t, num._d, factor, sign)
 
     def items(self, div=None):
         """(key, sum) for every key whose sum is not zero, in the order the

@@ -126,8 +126,6 @@ def bernoulli(k):
 
 # -- the Fedosov data ------------------------------------------------------------------
 
-_MINUS_ONE = GaussianRational(-1)
-
 # a Fedosov entry of the store: the checked parts of r and the ad(r) tables
 _RSeries = namedtuple("_RSeries", "parts ad_ops")
 
@@ -293,24 +291,13 @@ class FedosovData:
                     )
                 # the weight gain of every entry of this term, p1 + |m1| - level >= 0
                 gain = p1 + sum(m1)
-                for negate, states in ((True, weyl._pair_contractions(kind, chart, m1, m, pairs)),
-                                       (False, weyl._pair_contractions(kind, chart, m, m1, pairs))):
+                for sign, states in ((-1, weyl._pair_contractions(kind, chart, m1, m, pairs)),
+                                     (1, weyl._pair_contractions(kind, chart, m, m1, pairs))):
                     for level, sym, factor in states[1:]:
-                        _add_times(sums, (p1 - 1 + level, _raised(sym, j), gain - level),
-                                   c1, factor, negate)
+                        sums.add((p1 - 1 + level, _raised(sym, j), gain - level), c1, factor,
+                                 sign)
             hit = memo[l, m] = _entries(sums)
         return hit
-
-
-def _add_times(sums, key, c, factor, negate=False):
-    """sums[key] += c * factor, or -= with `negate`, for a factor of an
-    operator table or of `weyl._pair_contractions` (None is 1)."""
-    if factor is None:
-        sums.add(key, c, _MINUS_ONE if negate else None)
-    elif type(factor) is GaussianRational:
-        sums.add(key, c, -factor if negate else factor)
-    else:
-        sums.add_product(key, c, factor, _MINUS_ONE if negate else None)
 
 
 def _entries(sums):
@@ -412,7 +399,7 @@ def _tau_step(data, parts, weight):
             continue
         sums.add_gradient(c, lambda j, p=p, m=m: (p, _raised(m, j)))
         for sym, factor in data._nabla_op(nabla_ops, m):
-            _add_times(sums, (p, sym), c, factor)
+            sums.add((p, sym), c, factor)
     for l in range(k):
         if l + 2 not in data.r_parts:
             continue
@@ -420,7 +407,7 @@ def _tau_step(data, parts, weight):
             room = weight - p - sum(m)
             for (dp, sym, gain), factor in data._ad_op(l, m):
                 if gain <= room:
-                    _add_times(sums, (p + dp, sym), c, factor)
+                    sums.add((p + dp, sym), c, factor)
     terms = {(p, sym, 0): c for (p, sym), c in sums.items(lambda key: sum(key[1]))}
     return WeylElement(data.chart.n, terms, data.K)
 

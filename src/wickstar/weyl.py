@@ -148,11 +148,13 @@ class WeylElement:
 
     @staticmethod
     def from_terms(n, items, truncation=None):
-        """items: iterable of (nu_power, sym tuple, asym mask, ChartExpr)."""
-        el = WeylElement(n, {}, truncation)
+        """items: iterable of (nu_power, sym tuple, asym mask, ChartExpr);
+        the coefficients of equal keys add up."""
+        sums = _Sums()
         for p, sym, asym, coeff in items:
-            el._add(p, sym, asym, coeff)
-        return el
+            if truncation is None or sum(sym) + 2 * p <= truncation:
+                sums.add((p, sym, asym), coeff)
+        return WeylElement(n, dict(sums.items()), truncation)
 
     @staticmethod
     def sym_generator(n, index, truncation=None):
@@ -168,23 +170,6 @@ class WeylElement:
 
     # -- basic structure -----------------------------------------------------
 
-    def _add(self, p, sym, asym, coeff):
-        if coeff.is_zero():
-            return
-        deg = sum(sym) + 2 * p
-        if self.truncation is not None and deg > self.truncation:
-            return
-        key = (p, sym, asym)
-        cur = self.terms.get(key)
-        if cur is None:
-            self.terms[key] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-
     def is_zero(self):
         return not self.terms
 
@@ -198,16 +183,25 @@ class WeylElement:
         return all(self.terms[k] == other.terms[k] for k in self.terms)
 
     def __add__(self, other):
+        """The sum over the smaller truncation; the coefficients of a key
+        both sides hold are added as ChartExprs."""
         if self.n != other.n:
             raise DimensionMismatch("chart dimensions differ")
-        out = WeylElement(self.n, dict(self.terms), _combine_trunc(self.truncation, other.truncation))
-        if out.truncation is not None:
-            out.terms = {
-                k: c for k, c in out.terms.items() if sum(k[1]) + 2 * k[0] <= out.truncation
-            }
-        for (p, sym, asym), coeff in other.terms.items():
-            out._add(p, sym, asym, coeff)
-        return out
+        K = _combine_trunc(self.truncation, other.truncation)
+        terms = dict(self.terms) if K is None else self.truncate(K).terms
+        for key, coeff in other.terms.items():
+            if K is not None and sum(key[1]) + 2 * key[0] > K:
+                continue
+            cur = terms.get(key)
+            if cur is None:
+                terms[key] = coeff
+                continue
+            total = cur + coeff
+            if total.is_zero():
+                del terms[key]
+            else:
+                terms[key] = total
+        return WeylElement(self.n, terms, K)
 
     def __sub__(self, other):
         return self + (-other)
@@ -217,32 +211,23 @@ class WeylElement:
 
     def scale(self, factor):
         """Multiply by a scalar (number or chart function)."""
-        if isinstance(factor, (int, Fraction, GaussianRational)):
-            factor = GaussianRational.coerce(factor)
-            if factor.is_zero():
-                return WeylElement.zero(self.n, self.truncation)
-            return WeylElement(
-                self.n, {k: c.scale(factor) for k, c in self.terms.items()}, self.truncation
-            )
-        out = WeylElement(self.n, {}, self.truncation)
-        for (p, sym, asym), coeff in self.terms.items():
-            out._add(p, sym, asym, coeff * factor)
-        return out
+        if isinstance(factor, (int, Fraction)):
+            factor = GaussianRational(factor)
+        if factor.is_zero():
+            return WeylElement.zero(self.n, self.truncation)
+        return WeylElement(self.n, {k: c * factor for k, c in self.terms.items()}, self.truncation)
 
     def mul_nu(self, power=1):
-        out = WeylElement(self.n, {}, self.truncation)
-        for (p, sym, asym), coeff in self.terms.items():
-            out._add(p + power, sym, asym, coeff)
-        return out
+        K = self.truncation
+        terms = {(p + power, sym, asym): c for (p, sym, asym), c in self.terms.items()
+                 if K is None or sum(sym) + 2 * (p + power) <= K}
+        return WeylElement(self.n, terms, K)
 
     def div_nu(self, power=1):
         for (p, _, _) in self.terms:
             if p < power:
                 raise NuDivisionError("element is not divisible by nu^%d" % power)
-        out = WeylElement(self.n, {}, self.truncation)
-        for (p, sym, asym), coeff in self.terms.items():
-            out._add(p - power, sym, asym, coeff)
-        return out
+        return self.mul_nu(-power)
 
     def truncate(self, K):
         terms = {k: c for k, c in self.terms.items() if sum(k[1]) + 2 * k[0] <= K}
@@ -395,21 +380,16 @@ def mu(a, b, trunc=None):
     if a.n != b.n:
         raise DimensionMismatch("chart dimensions differ")
     out_trunc = trunc if trunc is not None else _combine_trunc(a.truncation, b.truncation)
-    out = WeylElement(a.n, {}, out_trunc)
+    sums = _Sums()
     for (p1, m1, a1), c1 in a.terms.items():
         d1 = sum(m1) + 2 * p1
         for (p2, m2, a2), c2 in b.terms.items():
             if out_trunc is not None and d1 + sum(m2) + 2 * p2 > out_trunc:
                 continue
             mask, sign = _wedge(a1, a2)
-            if mask is None:
-                continue
-            sym = tuple(x + y for x, y in zip(m1, m2))
-            coeff = c1 * c2
-            if sign < 0:
-                coeff = -coeff
-            out._add(p1 + p2, sym, mask, coeff)
-    return out
+            if mask is not None:
+                sums.add_product((p1 + p2, _sym_sum(m1, m2), mask), c1, c2, None, sign)
+    return WeylElement(a.n, dict(sums.items()), out_trunc)
 
 
 # -- fibrewise deformed products -------------------------------------------------
@@ -513,15 +493,6 @@ def _sym_sum(m1, m2):
     return tuple(x + y for x, y in zip(m1, m2))
 
 
-def _times_factor(c, factor):
-    """c times a contraction factor of `_pair_contractions`."""
-    if factor is None:
-        return c
-    if type(factor) is GaussianRational:
-        return c.scale(factor)
-    return c * factor
-
-
 def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
     """The one pair loop behind the fibrewise products: a.b, or with
     `commutator` ad(a)b = a.b - (-1)^(|a||b|) b.a, divided by nu if `over_nu`.
@@ -530,11 +501,12 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
     sign of the swapped antisymmetric words, which cancels the Koszul sign,
     so each pair contributes  wedge_sign * c1*c2 * (forward - backward)
     contraction factors.  Their level-0 pointwise parts cancel exactly and
-    are skipped.  A factor of 1, the level 0 of a product, is not
-    multiplied, and a constant factor only scales c1*c2.  Contractions keep
-    the total degree of a pair, so pairs beyond the output truncation
-    (raised by 2 when dividing by nu) are never formed.  A nu^0 term left after the division means the pointwise parts
-    did not cancel.
+    are skipped.  c1*c2 is formed once per pair and added to the integer
+    sum of each output term (`expr._Sums`) times each factor; every output
+    coefficient is read once.  Contractions keep the total degree of a
+    pair, so pairs beyond the output truncation (raised by 2 when dividing
+    by nu) are never formed.  A nu^0 term left after the division means the
+    pointwise parts did not cancel.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
@@ -544,7 +516,7 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
     cap = None if out_trunc is None else out_trunc + 2 * shift
     first = 1 if commutator else 0
     pairs = chart._derived((kind, "pairs"))
-    out = WeylElement(a.n, {}, out_trunc)
+    sums = _Sums()
     for (p1, m1, a1), c1 in a.terms.items():
         d1 = sum(m1) + 2 * p1
         for (p2, m2, a2), c2 in b.terms.items():
@@ -554,14 +526,13 @@ def _pair_products(a, b, kind, chart, out_trunc, over_nu, commutator):
             if mask is None:
                 continue
             cc = c1 * c2
-            if sign < 0:
-                cc = -cc
             p = p1 + p2 - shift
             for level, sym, factor in _pair_contractions(kind, chart, m1, m2, pairs)[first:]:
-                out._add(p + level, sym, mask, _times_factor(cc, factor))
+                sums.add((p + level, sym, mask), cc, factor, sign)
             if commutator:
                 for level, sym, factor in _pair_contractions(kind, chart, m2, m1, pairs)[1:]:
-                    out._add(p + level, sym, mask, -_times_factor(cc, factor))
+                    sums.add((p + level, sym, mask), cc, factor, -sign)
+    out = WeylElement(a.n, dict(sums.items()), out_trunc)
     if over_nu and any(p < 0 for p, _, _ in out.terms):
         raise NuDivisionError("division by nu left a nu^0 term; cancellation failed")
     return out
@@ -689,10 +660,7 @@ def sigma_circ(a, b, kind, chart, max_nu):
                 value = memo.get((m1, m2))
                 if value is None:
                     value = full_contraction_value(m1, m2, kind, chart)
-                if type(value) is GaussianRational:
-                    sums.add_product(low + p2, c1, c2, value)
-                else:
-                    sums.add_product(low + p2, c1 * c2, value)
+                sums.add_product(low + p2, c1, c2, value)
     return WeylElement(n, {(p, zero_sym, 0): c for p, c in sums.items()}, 2 * max_nu)
 
 
@@ -701,7 +669,7 @@ def sigma_circ(a, b, kind, chart, max_nu):
 
 def _delta(a, lo, hi):
     """The part of delta over the symbols lo..hi-1: lowers sym, raises asym."""
-    out = WeylElement(a.n, {}, a.truncation)
+    sums = _Sums()
     for (p, sym, asym), coeff in a.terms.items():
         for j in range(lo, hi):
             e = sym[j]
@@ -709,29 +677,30 @@ def _delta(a, lo, hi):
                 continue
             nm = list(sym)
             nm[j] -= 1
-            sign = _pass_sign(j, asym)
-            out._add(p, tuple(nm), asym | (1 << j), coeff.scale(GaussianRational(sign * e)))
-    return out
+            sums.add((p, tuple(nm), asym | (1 << j)), coeff, GaussianRational(e), _pass_sign(j, asym))
+    return WeylElement(a.n, dict(sums.items()), a.truncation)
 
 
-def _delta_inv(a, lo, hi):
-    """The inverse of _delta(a, lo, hi) off its kernel: delta_star over the
-    symbols lo..hi-1, scaled by 1/(deg_s + deg_a) counted over those symbols
-    per term; terms of counted degree zero are killed."""
+def _delta_star(a, lo, hi, inverse):
+    """delta_star over the symbols lo..hi-1: raises sym, lowers asym.  With
+    `inverse`, each term is scaled by 1/(deg_s + deg_a) counted over those
+    symbols, which inverts _delta(a, lo, hi) off its kernel; terms without
+    antisymmetric symbols there are killed.  Every output term is one
+    degree above its input term, so input terms at the truncation are
+    skipped."""
     window = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-    out = WeylElement(a.n, {}, a.truncation)
+    K = a.truncation
+    sums = _Sums()
     for (p, sym, asym), coeff in a.terms.items():
         bits = asym & window
-        total = sum(sym[lo:hi]) + bin(bits).count("1")
-        if total == 0:
+        if not bits or (K is not None and sum(sym) + 2 * p >= K):
             continue
-        inv = GaussianRational.ratio(1, total)
+        factor = GaussianRational.ratio(1, sum(sym[lo:hi]) + bin(bits).count("1")) if inverse else None
         for j in _iter_bits(bits):
             nm = list(sym)
             nm[j] += 1
-            sign = _pass_sign(j, asym)
-            out._add(p, tuple(nm), asym & ~(1 << j), coeff.scale(inv if sign > 0 else -inv))
-    return out
+            sums.add((p, tuple(nm), asym & ~(1 << j)), coeff, factor, _pass_sign(j, asym))
+    return WeylElement(a.n, dict(sums.items()), K)
 
 
 def delta(a):
@@ -741,20 +710,12 @@ def delta(a):
 
 def delta_star(a):
     """(dz^i x 1) i_a(Z_i) + (dzb^i x 1) i_a(Zb_i): raises sym, lowers asym."""
-    out = WeylElement(a.n, {}, a.truncation)
-    for (p, sym, asym), coeff in a.terms.items():
-        for j in _iter_bits(asym):
-            nm = list(sym)
-            nm[j] += 1
-            sign = _pass_sign(j, asym)
-            c = coeff if sign > 0 else -coeff
-            out._add(p, tuple(nm), asym & ~(1 << j), c)
-    return out
+    return _delta_star(a, 0, 2 * a.n, False)
 
 
 def delta_inv(a):
     """delta_star scaled by 1/(deg_s + deg_a) per term, killing the (0,0) part."""
-    return _delta_inv(a, 0, 2 * a.n)
+    return _delta_star(a, 0, 2 * a.n, True)
 
 
 def sigma(a):
@@ -776,58 +737,43 @@ def to_nu_series(a, order, param="nu"):
     return series
 
 
-def _nabla_direction(a, chart, conn, k, hol, out):
-    """Covariant derivative along Z_k (hol) or Zb_k, wedged from the left."""
-    n = a.n
-    offset = 0 if hol else n
-    wedge_bit = offset + k
-    gamma = conn.christoffel if hol else conn.christoffel_bar
-    window = ((1 << n) - 1) << offset
-    for (p, sym, asym), coeff in a.terms.items():
-        pieces = []
-        dc = coeff.differentiate(wedge_bit)
-        if not dc.is_zero():
-            pieces.append((sym, asym, dc))
-        # sym substitutions
-        for aidx in range(n):
-            e = sym[offset + aidx]
-            if not e:
-                continue
-            for l in range(n):
-                g = gamma[aidx][k][l]
-                if g.is_zero():
-                    continue
-                nm = list(sym)
-                nm[offset + aidx] -= 1
-                nm[offset + l] += 1
-                pieces.append((tuple(nm), asym, (coeff * g).scale(GaussianRational(-e))))
-        # asym substitutions
-        for bit in _iter_bits(asym & window):
-            aidx = bit - offset
-            for l in range(n):
-                g = gamma[aidx][k][l]
-                if g.is_zero():
-                    continue
-                ssign = _subst_sign(asym, bit, offset + l)
-                if ssign == 0:
-                    continue
-                new_mask = (asym & ~(1 << bit)) | (1 << (offset + l))
-                pieces.append((sym, new_mask, (coeff * g).scale(GaussianRational(-ssign))))
-        for nsym, mask, c in pieces:
-            if (mask >> wedge_bit) & 1:
-                continue
-            s = _pass_sign(wedge_bit, mask)
-            out._add(p, nsym, mask | (1 << wedge_bit), c if s > 0 else -c)
-
-
 def _nabla(a, chart, conn, sides):
-    """The covariant derivative along the directions of the given sides
-    (True: holomorphic, False: antiholomorphic)."""
-    out = WeylElement(a.n, {}, a.truncation)
-    for k in range(a.n):
-        for hol in sides:
-            _nabla_direction(a, chart, conn, k, hol, out)
-    return out
+    """The covariant derivative along Z_k (holomorphic side, True) or Zb_k
+    (False) for every k and the given sides, dz^k or dzb^k wedged from the
+    left."""
+    n = a.n
+    sums = _Sums()
+    for hol in sides:
+        offset = 0 if hol else n
+        gamma = conn.christoffel if hol else conn.christoffel_bar
+        for k in range(n):
+            w = offset + k
+            # the nonzero Gamma^a_{kl} (or their bars): symbol a becomes symbol l
+            links = [(offset + i, offset + l, gamma[i][k][l])
+                     for i in range(n) for l in range(n) if not gamma[i][k][l].is_zero()]
+            for (p, sym, asym), coeff in a.terms.items():
+                if not (asym >> w) & 1:
+                    key = (p, sym, asym | (1 << w))
+                    sign = _pass_sign(w, asym)
+                    sums.add(key, coeff.differentiate(w), None, sign)
+                    # sym substitutions
+                    for i, j, g in links:
+                        if sym[i]:
+                            nm = list(sym)
+                            nm[i] -= 1
+                            nm[j] += 1
+                            sums.add_product((p, tuple(nm), key[2]), coeff, g,
+                                             GaussianRational(-sym[i]), sign)
+                # asym substitutions
+                for i, j, g in links:
+                    if not (asym >> i) & 1:
+                        continue
+                    ssign = _subst_sign(asym, i, j)
+                    mask = (asym & ~(1 << i)) | (1 << j)
+                    if ssign and not (mask >> w) & 1:
+                        sums.add_product((p, sym, mask | (1 << w)), coeff, g, None,
+                                         -ssign * _pass_sign(w, mask))
+    return WeylElement(n, dict(sums.items()), a.truncation)
 
 
 def nabla(a, chart, conn):
@@ -900,12 +846,12 @@ def delta_zbar(a):
 
 def delta_z_inv(a):
     """Inverse of the holomorphic half of delta, counting holomorphic degrees only."""
-    return _delta_inv(a, 0, a.n)
+    return _delta_star(a, 0, a.n, True)
 
 
 def delta_zbar_inv(a):
     """Inverse of the antiholomorphic half of delta, counting antiholomorphic degrees only."""
-    return _delta_inv(a, a.n, 2 * a.n)
+    return _delta_star(a, a.n, 2 * a.n, True)
 
 
 # -- fibrewise equivalence, parity, conjugation --------------------------------------
@@ -915,7 +861,7 @@ def delta_fib(a, chart):
     """g^{kl} i_s(Z_k) i_s(Zb_l): removes one dz and one dzb from the sym part."""
     n = a.n
     ginv = chart.inverse_metric
-    out = WeylElement(n, {}, a.truncation)
+    sums = _Sums()
     for (p, sym, asym), coeff in a.terms.items():
         for k in range(n):
             e1 = sym[k]
@@ -928,8 +874,8 @@ def delta_fib(a, chart):
                 nm = list(sym)
                 nm[k] -= 1
                 nm[n + l] -= 1
-                out._add(p, tuple(nm), asym, (coeff * ginv[k][l]).scale(GaussianRational(e1 * e2)))
-    return out
+                sums.add_product((p, tuple(nm), asym), coeff, ginv[k][l], GaussianRational(e1 * e2))
+    return WeylElement(n, dict(sums.items()), a.truncation)
 
 
 def fib_equiv_S(a, chart, direction="forward"):
@@ -942,7 +888,9 @@ def fib_equiv_S(a, chart, direction="forward"):
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     coupling = INV_I if direction == "forward" else GR_I
-    out = WeylElement(a.n, dict(a.terms), a.truncation)
+    sums = _Sums()
+    for key, coeff in a.terms.items():
+        sums.add(key, coeff)
     power = a
     level = 0
     while True:
@@ -953,8 +901,8 @@ def fib_equiv_S(a, chart, direction="forward"):
         if power.is_zero():
             break
         for (p, sym, asym), coeff in power.terms.items():
-            out._add(p + level, sym, asym, coeff)
-    return out
+            sums.add((p + level, sym, asym), coeff)
+    return WeylElement(a.n, dict(sums.items()), a.truncation)
 
 
 def parity_P(x):
@@ -963,10 +911,8 @@ def parity_P(x):
         return NuSeries(
             [(-c if r & 1 else c) for r, c in enumerate(x.coeffs)], x.param
         )
-    out = WeylElement(x.n, {}, x.truncation)
-    for (p, sym, asym), coeff in x.terms.items():
-        out._add(p, sym, asym, -coeff if p & 1 else coeff)
-    return out
+    terms = {key: -c if key[0] & 1 else c for key, c in x.terms.items()}
+    return WeylElement(x.n, terms, x.truncation)
 
 
 def conj_C(x):
@@ -980,11 +926,9 @@ def conj_C(x):
             x.param,
         )
     n = x.n
-    out = WeylElement(n, {}, x.truncation)
+    terms = {}
     for (p, sym, asym), coeff in x.terms.items():
         mask, sign = _conj_mask(asym, n)
         c = coeff.conjugate()
-        if (sign < 0) != bool(p & 1):
-            c = -c
-        out._add(p, sym[n:] + sym[:n], mask, c)
-    return out
+        terms[p, sym[n:] + sym[:n], mask] = -c if (sign < 0) != bool(p & 1) else c
+    return WeylElement(n, terms, x.truncation)

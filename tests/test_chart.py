@@ -4,12 +4,13 @@ import copy
 import json
 import os
 import tempfile
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wickstar import weyl
-from wickstar.chart import ChartError, load_chart, omega_form, poisson_bracket
+from wickstar.chart import Chart, ChartError, load_chart, omega_form, poisson_bracket
 from wickstar.cli import main
 from wickstar.expr import parse
 
@@ -225,6 +226,17 @@ def test_malformed_document_is_a_chart_error(doc, capsys):
         load_chart(json.dumps(doc))
     assert _describe(json.dumps(doc)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["disk", "disk_omega_nu", "c2_flat_omega20"])
+def test_a_load_validates_once(name, monkeypatch):
+    """A document with an `omega_series` is validated once, after the series
+    is parsed, as a document without one is."""
+    calls = []
+    validate = Chart.validate
+    monkeypatch.setattr(Chart, "validate", lambda self: calls.append(1) or validate(self))
+    load_chart(str(resources.files("wickstar").joinpath(f"charts/{name}.json")))
+    assert len(calls) == 1
 
 
 def test_unreadable_chart_file_is_a_user_error(tmp_path, capsys):

@@ -288,6 +288,25 @@ def test_huge_dimension_with_small_matrices_is_a_user_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "metric" in err
 
 
+def test_dimension_above_the_cap_is_a_user_error(capsys, tmp_path):
+    """The identity metric in dimension 24, a well-formed 5.9 KB document,
+    is refused before any entry is parsed instead of running the n^5
+    curvature check for many seconds."""
+    from wickstar.chart import MAX_DIMENSION
+
+    n = 24
+    assert n > MAX_DIMENSION
+    identity = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    path = tmp_path / "identity24.json"
+    path.write_text(json.dumps({"name": "identity24", "dimension": n,
+                                "metric": identity, "inverse_metric": identity}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "describe", "--chart", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "dimension 24" in err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     """One process: usage error, star, verify, usage error.  The parser is
     built on the first call only, and every call reports what a parser

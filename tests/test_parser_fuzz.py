@@ -8,7 +8,9 @@ base, and random character soup.  Chart documents are the bundled disk
 with one field spoiled: wrong JSON types, unknown keys, a huge or boolean
 `dimension`, small matrices under a huge dimension, a huge `nu_power`,
 malformed form keys, and denominators and base entries the base does not
-admit.  Every case must exit 0 or 1, print at most one `error:` line, and
+admit.  Command lines carry hostile `--order` and `--truncation` values:
+negative, zero, above the caps, huge, not integers, and truncations below
+2N+2.  Every case must exit 0 or 1, print at most one `error:` line, and
 never a traceback, within the deadline.
 """
 
@@ -135,3 +137,37 @@ def test_hostile_chart_documents_exit_0_or_1_without_a_traceback(tmp_path_factor
         _check_run(["describe", "--chart", str(path)])
     else:
         _check_run(["star", "--chart", str(path), "--order", "1", "--f", "z1", "--g", "zb1"])
+
+
+ORDERS = ("-1", "-17", "0", "1", "2", "16", "17", "1000", "9" * 30, "9" * 5000, "1.5", "1e3",
+          "two", "", "0x10", "1_0", " 2 ", "\u0663")
+# "below" and "least" stand for 2N+1 and 2N+2 of the drawn order N
+TRUNCATIONS = (None, "-1", "0", "3", "below", "least", "34", "35", "9" * 30, "2.5", "K", "")
+
+
+def _integer(text):
+    """The int the command line makes of `text`, or None when it refuses it."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True)
+@given(st.sampled_from(ORDERS), st.sampled_from(TRUNCATIONS), st.booleans())
+def test_hostile_orders_and_truncations_exit_0_or_1_without_a_traceback(order, truncation,
+                                                                         verify):
+    n = _integer(order)
+    if truncation in ("below", "least"):
+        least = 2 * (n if n is not None else 1) + 2
+        truncation = str(least - 1 if truncation == "below" else least)
+    flags = ["--order", order] + ([] if truncation is None else ["--truncation", truncation])
+    # a valid request above the default truncation runs only as a star
+    # product on the flat chart, which stays fast up to the caps
+    k = 2 * n + 2 if truncation is None and n is not None else _integer(truncation or "x")
+    valid = n is not None and 0 <= n <= 16 and k is not None and 2 * n + 2 <= k <= 34
+    if verify and not (valid and k > 4):
+        _check_run(["verify", "--chart", "c1_flat", "--suite", "all"] + flags)
+    else:
+        _check_run(["star", "--chart", "c1_flat", "--f", "z1^2*zb1 + i", "--g", "zb1^2 + z1"]
+                   + flags)

@@ -119,7 +119,7 @@ def _stored_values():
 def test_stored_values_do_not_change_after_use(disk):
     """r and every stored table read the same after a whole verify run on
     the same chart and product, which adds to the tables but must not
-    change a published value (an in-place `WeylElement._add` on a shared
+    change a published value (an in-place write to the terms of a shared
     part would)."""
     _clear_store()
     data = FedosovData("wick", disk, 6)

@@ -15,18 +15,25 @@ from wickstar.expr import GaussianRational, _Sums, parse
 MINUS_ONE = GaussianRational(-1)
 
 
+def _times(c, factor, sign):
+    """sign * c * factor in ChartExpr arithmetic, for a factor None (1), a
+    GaussianRational or a ChartExpr."""
+    value = c if factor is None else c * factor
+    return -value if sign < 0 else value
+
+
 def _plain(key, op):
     """The (key, ChartExpr) contributions of an op at `key`; a gradient adds
     its derivative along x_j at key + j, modulo 3."""
     kind, *args = op
     if kind == "add":
-        c, value = args
-        return [(key, c if value is None else c.scale(value))]
+        c, factor, sign = args
+        return [(key, _times(c, factor, sign))]
     if kind == "add_gradient":
         (c,) = args
         return [((key + j) % 3, c.differentiate(j)) for j in range(c.nvars)]
-    c1, c2, value = args
-    return [(key, c1 * c2 if value is None else (c1 * c2).scale(value))]
+    c1, c2, factor, sign = args
+    return [(key, _times(c1 * c2, factor, sign))]
 
 
 def _check(ops, divisors):
@@ -55,33 +62,32 @@ def _check(ops, divisors):
 def _negated(key, op):
     """Ops that cancel op at key."""
     kind, *args = op
-    if kind == "add":
-        c, value = args
-        return [(key, ("add", c, MINUS_ONE if value is None else -value))]
     if kind == "add_gradient":
-        return [(k, ("add", value, MINUS_ONE)) for k, value in _plain(key, op)]
-    c1, c2, value = args
-    return [(key, ("add_product", c1, c2, MINUS_ONE if value is None else -value))]
+        return [(k, ("add", value, MINUS_ONE, 1)) for k, value in _plain(key, op)]
+    return [(key, (kind, *args[:-1], -args[-1]))]
 
 
 @st.composite
 def sum_cases(draw):
     """Ops on three keys over one base of FACTORED_BASES, mixed with
-    polynomials over the empty base; some ops are followed by their
-    negation, so that sums cancel, some of them to zero."""
+    polynomials over the empty base, each times a factor in one of its
+    three forms and a sign; some ops are followed by their negation, so
+    that sums cancel, some of them to zero."""
     n, base = FACTORED_BASES[draw(st.sampled_from(sorted(FACTORED_BASES)))]
     values = st.one_of(polynomials(n), factored_values(n, base).map(lambda case: case[0]))
-    scalars = st.one_of(st.none(), gaussian_rationals())
+    # the three forms of a contraction factor
+    factors = st.one_of(st.none(), gaussian_rationals(), values)
+    signs = st.sampled_from((1, -1))
     ops = []
     for _ in range(draw(st.integers(1, 6))):
         key = draw(st.integers(0, 2))
         kind = draw(st.sampled_from(("add", "add_gradient", "add_product")))
         if kind == "add":
-            op = ("add", draw(values), draw(scalars))
+            op = ("add", draw(values), draw(factors), draw(signs))
         elif kind == "add_gradient":
             op = ("add_gradient", draw(values))
         else:
-            op = ("add_product", draw(values), draw(values), draw(scalars))
+            op = ("add_product", draw(values), draw(values), draw(factors), draw(signs))
         ops.append((key, op))
         if draw(st.booleans()):
             ops.extend(_negated(key, op))
@@ -115,5 +121,7 @@ def test_a_read_cancels_what_the_groups_share(ops):
     parsed = []
     for kind, *args in ops:
         args = [parse(a, 1, DISK_BASE) if isinstance(a, str) else a for a in args]
+        if kind != "add_gradient":
+            args.append(1)
         parsed.append((0, (kind, *args)))
     _check(parsed, dict.fromkeys(range(3), 1))

@@ -85,7 +85,8 @@ def test_circ_unit(c1_flat, disk):
     one = WeylElement.unit(1)
     for chart in (c1_flat, disk):
         for a in elements(chart, 2, 21):
-            for kind in weyl.KINDS:
+            odd = _one_forms(a)
+    for kind in weyl.KINDS:
                 assert circ(one, a, kind, chart) == a
                 assert circ(a, one, kind, chart) == a
 
@@ -98,7 +99,8 @@ def test_circ_dimension_mismatch(c1_flat):
 def test_circ_associative_all_kinds(c1_flat, disk, cp1):
     for chart in (c1_flat, disk, cp1):
         a, b, c = elements(chart, 3, 31)
-        for kind in weyl.KINDS:
+        odd = _one_forms(a)
+    for kind in weyl.KINDS:
             lhs = circ(circ(a, b, kind, chart), c, kind, chart)
             rhs = circ(a, circ(b, c, kind, chart), kind, chart)
             assert lhs == rhs
@@ -106,6 +108,7 @@ def test_circ_associative_all_kinds(c1_flat, disk, cp1):
 
 def test_deg_is_derivation(disk):
     a, b = elements(disk, 2, 41)
+    odd = _one_forms(a)
     for kind in weyl.KINDS:
         for d1 in range(7):
             for d2 in range(7):
@@ -126,6 +129,7 @@ def test_ad_examples(c1_flat):
 
 def test_ad_over_nu_matches_ad(disk):
     a, b = elements(disk, 2, 61, max_degree=4)
+    odd = _one_forms(a)
     for kind in weyl.KINDS:
         direct = ad(a, b, kind, disk)
         # every commutator term carries nu, so dividing and re-multiplying
@@ -156,11 +160,10 @@ def test_delta_nilpotent_and_anticommutator(disk):
         assert delta(delta(a)).is_zero()
         assert delta_star(delta_star(a)).is_zero()
         lhs = delta(delta_star(a)) + delta_star(delta(a))
-        expect = WeylElement(1, {}, a.truncation)
-        for (p, s, m), c in a.terms.items():
-            total = sum(s) + bin(m).count("1")
-            if total:
-                expect._add(p, s, m, c.scale(GaussianRational(total)))
+        expect = WeylElement.from_terms(1, [
+            (p, s, m, c.scale(GaussianRational(sum(s) + bin(m).count("1"))))
+            for (p, s, m), c in a.terms.items()
+        ], a.truncation)
         assert lhs == expect
 
 
@@ -205,13 +208,15 @@ def test_nabla_squared_is_curvature(disk, cp1):
         R = chart.curvature_data.curvature_element
         for a in elements(chart, 3, 101):
             n2 = nabla(nabla(a, chart, conn), chart, conn)
-            for kind in weyl.KINDS:
+            odd = _one_forms(a)
+    for kind in weyl.KINDS:
                 assert (n2 + ad_over_nu(R, a, kind, chart, None)).is_zero()
 
 
 def test_derivation_property_of_circ(disk):
     conn = disk.connection
     a, b = elements(disk, 2, 111, max_degree=4)
+    odd = _one_forms(a)
     for kind in weyl.KINDS:
         for da, pa in a.deg_a_components().items():
             sign = GaussianRational(-1 if da % 2 else 1)
@@ -437,3 +442,69 @@ def test_series_of_different_orders_do_not_add():
         long + short
     with pytest.raises(ValueError, match="series orders differ"):
         short - long
+
+
+# -- kernel output form ----------------------------------------------------------------
+
+K_OUT = 6
+
+
+def _one_forms(a):
+    """The terms of `a` of degree <= 3 with one antisymmetric symbol each, in
+    turn: an element shaped like r, whose pointwise square vanishes."""
+    low = a.truncate(3).terms.items()
+    return WeylElement.from_terms(a.n, [(p, sym, 1 << (i % (2 * a.n)), c)
+                                        for i, ((p, sym, _), c) in enumerate(low)])
+
+
+def _kernel_outputs(a, b, chart):
+    """(name, output) of every kernel that sums or maps coefficients."""
+    conn = chart.connection
+    weight = chart.metric[0][0]
+    yield "from_terms", WeylElement.from_terms(
+        a.n, [(*key, c) for x in (a, b, a) for key, c in x.terms.items()], K_OUT - 1)
+    yield "add", a + b
+    yield "sub", a - b.truncate(K_OUT - 2)
+    yield "neg", -a
+    yield "scale", a.scale(weight)
+    yield "scale_constant", a.scale(GaussianRational(2, -3))
+    yield "mul_nu", a.mul_nu()
+    yield "div_nu", WeylElement(a.n, {k: c for k, c in a.terms.items() if k[0]}, K_OUT).div_nu()
+    yield "parity_P", parity_P(a)
+    yield "conj_C", conj_C(a)
+    yield "mu", mu(a, b)
+    odd = _one_forms(a)
+    for kind in weyl.KINDS:
+        yield f"circ {kind}", circ(a, b, kind, chart)
+        yield f"ad {kind}", ad(a, b, kind, chart)
+        yield f"ad_over_nu {kind}", ad_over_nu(a, b, kind, chart, K_OUT - 1)
+        yield f"circ_over_nu {kind}", weyl.circ_over_nu(odd, odd, kind, chart, K_OUT - 1)
+    for name, op in (("nabla", nabla), ("nabla_z", nabla_z), ("nabla_zbar", nabla_zbar)):
+        yield name, op(a, chart, conn)
+    for op in (delta, delta_z, delta_zbar, delta_inv, delta_z_inv, delta_zbar_inv, delta_star):
+        yield op.__name__, op(a)
+    yield "delta_fib", delta_fib(a, chart)
+    yield "fib_equiv_S", fib_equiv_S(a, chart)
+    yield "fib_equiv_S inverse", fib_equiv_S(a, chart, "inverse")
+
+
+@pytest.mark.parametrize("name", ["c2_flat", "disk", "cp1_omega_nu", "ball2"])
+def test_kernel_outputs_are_canonical_and_truncated(name, request):
+    """Every kernel output holds no zero coefficient and no term above its
+    truncation, and each coefficient has the fields its value has when
+    built anew: the integer sums are read in canonical form."""
+    chart = request.getfixturevalue(name)
+    rng = Lcg(193)
+    weight = chart.metric[0][0]
+    for i in range(4):
+        a, b = (random_weyl_element(chart, rng.split(2 * i + j), max_degree=K_OUT,
+                                    truncation=K_OUT) for j in range(2))
+        # a coefficient with a denominator on the curved charts
+        a = a + a.scale(weight).truncate(K_OUT - 1)
+        for kernel, out in _kernel_outputs(a, b, chart):
+            K = out.truncation
+            for (p, sym, asym), c in out.terms.items():
+                assert not c.is_zero(), kernel
+                assert K is None or sum(sym) + 2 * p <= K, kernel
+                again = ChartExpr(c.num, c.den, c.base)
+                assert (again.num, again._mono, again._exps) == (c.num, c._mono, c._exps), kernel
