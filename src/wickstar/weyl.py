@@ -117,7 +117,12 @@ def _iter_bits(mask):
 
 
 class WeylElement:
-    """Finite graded element of the truncated Weyl algebra."""
+    """Finite graded element of the truncated Weyl algebra.
+
+    The constructor takes `terms` as given: it must hold no zero
+    coefficient and no term of degree 2p + |sym| above `truncation`.  The
+    kernels keep both and rely on them; the named constructors below
+    enforce them."""
 
     __slots__ = ("n", "truncation", "terms")
 
@@ -158,15 +163,16 @@ class WeylElement:
 
     @staticmethod
     def sym_generator(n, index, truncation=None):
+        """y_index, or zero when its degree 1 is above the truncation."""
         sym = [0] * (2 * n)
         sym[index] = 1
-        return WeylElement(
-            n, {(0, tuple(sym), 0): ChartExpr.one(n)}, truncation
-        )
+        return WeylElement.from_terms(n, [(0, tuple(sym), 0, ChartExpr.one(n))], truncation)
 
     @staticmethod
     def asym_generator(n, index, truncation=None):
-        return WeylElement(n, {(0, (0,) * (2 * n), 1 << index): ChartExpr.one(n)}, truncation)
+        """dz_index (degree 0), or zero over a negative truncation."""
+        return WeylElement.from_terms(
+            n, [(0, (0,) * (2 * n), 1 << index, ChartExpr.one(n))], truncation)
 
     # -- basic structure -----------------------------------------------------
 
