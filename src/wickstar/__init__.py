@@ -36,8 +36,7 @@ from .fedosov import (
     hermitian_check,
     karabegov_form,
     parity_transport,
-    pi_z_tau_fast,
-    pi_zbar_tau_fast,
+    projected_tau,
     renormalize_s,
     separation_product,
     star,

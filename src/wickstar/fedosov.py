@@ -134,7 +134,7 @@ class FedosovData:
     """Product kind, chart, input data and the computed connection element.
 
     `r_parts` maps each degree to the nonzero homogeneous part of r of that
-    degree, read by the tau operator tables, `_tau_step`, `_projected_tau` and h.
+    degree, read by the tau operator tables, `_tau_step`, `projected_tau` and h.
 
     The parts of r do not depend on K below it: with the (1/nu) ad(r)
     tables of the tau step they are a Fedosov entry of the store, keyed by
@@ -222,12 +222,7 @@ class FedosovData:
         K = self.K
         if weyl.delta_inv(self.r).truncate(K) != self.s:
             raise ContractViolation("connection element fails delta_inv r = s")
-        lhs = weyl.delta(self.r).truncate(K - 1)
-        rhs = weyl.nabla(self.r, self.chart, self.conn)
-        rhs = rhs - weyl.circ_over_nu(self.r, self.r, self.kind, self.chart, K - 1)
-        rhs = rhs + self.curv.curvature_element.truncate(K - 1)
-        rhs = rhs + self.omega.to_weyl(truncation=K - 1)
-        if lhs != rhs.truncate(K - 1):
+        if weyl.delta(self.r).truncate(K - 1) != _r_equation(self, self.r):
             raise ContractViolation("connection element fails its defining equation")
         mn = self.r.min_deg() if not self.r.is_zero() else None
         if mn is not None and mn < 2:
@@ -240,30 +235,15 @@ class FedosovData:
         1/|sym'| of delta_inv, on a term of sym m and no antisymmetric
         symbols: a list of (sym', factor) sending coefficient c to c * factor.
 
-        Along Z_k, each dz^a of m becomes -Gamma^a_{kl} dz^l, and delta_inv
-        turns the wedged dz^k into a dz^k of the sym word; likewise along
-        Zb_k with the barred symbols.  `memo` is the table of the chart's
-        geometry entry, as the operator depends on the connection alone."""
+        It is nabla of the word y^m with coefficient 1, whose derivative part
+        is zero, raised by `_raised_entries`.  `memo` is the table of the
+        chart's geometry entry, as the operator depends on the connection
+        alone."""
         hit = memo.get(m)
         if hit is None:
-            n = self.chart.n
-            sums = _Sums()
-            for offset, gamma in ((0, self.conn.christoffel), (n, self.conn.christoffel_bar)):
-                for a in range(n):
-                    e = m[offset + a]
-                    if not e:
-                        continue
-                    for k in range(n):
-                        for l in range(n):
-                            g = gamma[a][k][l]
-                            if g.is_zero():
-                                continue
-                            sym = list(m)
-                            sym[offset + a] -= 1
-                            sym[offset + l] += 1
-                            sym[offset + k] += 1
-                            sums.add(tuple(sym), g, GaussianRational(-e))
-            hit = memo[m] = _entries(sums)
+            word = WeylElement(self.chart.n, {(0, m, 0): ChartExpr.one(self.chart.n)})
+            image = weyl.nabla(word, self.chart, self.conn)
+            hit = memo[m] = _raised_entries(image, lambda p, sym: sym)
         return hit
 
     def _ad_op(self, l, m):
@@ -271,39 +251,36 @@ class FedosovData:
         of delta_inv, on a term of sym m and no antisymmetric symbols: a
         list of ((dp, sym', gain), factor) sending nu^p c to nu^(p+dp) c *
         factor, where gain = dp + |sym'| - |m| >= 0 is what the entry adds to
-        the weight p + |m| of the term (see `tau`).
-
-        A term of r with antisymmetric symbol dz^j contributes its forward
-        contraction states with the term negatively and its backward ones
-        positively (the bracket subtracts ad = forward - backward), from
-        level 1 on: the pointwise parts cancel and the level pays the 1/nu."""
+        the weight p + |m| of the term (see `tau`)."""
         memo = self._entry.ad_ops
         hit = memo.get((l, m))
         if hit is None:
-            kind, chart = self.kind, self.chart
-            pairs = chart._derived((kind, "pairs"))
-            sums = _Sums()
-            for (p1, m1, a1), c1 in self.r_parts[l + 2].terms.items():
-                j = a1.bit_length() - 1
-                if a1 != 1 << j:
-                    raise ContractViolation(
-                        "connection element has a term of antisymmetric degree other than 1"
-                    )
-                # the weight gain of every entry of this term, p1 + |m1| - level >= 0
-                gain = p1 + sum(m1)
-                for sign, states in ((-1, weyl._pair_contractions(kind, chart, m1, m, pairs)),
-                                     (1, weyl._pair_contractions(kind, chart, m, m1, pairs))):
-                    for level, sym, factor in states[1:]:
-                        sums.add((p1 - 1 + level, _raised(sym, j), gain - level), c1, factor,
-                                 sign)
-            hit = memo[l, m] = _entries(sums)
+            word = WeylElement(self.chart.n, {(0, m, 0): ChartExpr.one(self.chart.n)})
+            image = -weyl.ad_over_nu(self.r_parts[l + 2], word, self.kind, self.chart, None)
+            size = sum(m)
+            hit = memo[l, m] = _raised_entries(image, lambda p, sym: (p, sym, p + sum(sym) - size))
         return hit
 
 
-def _entries(sums):
-    """The nonzero sums of an operator table entry as a list, a constant one
-    held as a GaussianRational."""
-    return [(key, weyl._constant_or_expr(c)) for key, c in sums.items()]
+def _raised_entries(image, key):
+    """A tau operator table entry from the image of a unit word: delta_inv,
+    without its 1/|sym'|, moves the one antisymmetric symbol dz^j of each
+    term into its symmetric word, sym' = sym + dz^j with sign +1, and the
+    terms that land on one key(p, sym') add up.  A list of (key, factor), a
+    constant factor held as a GaussianRational.
+
+    `_tau_step` divides by |sym'| alone, and the weight cut of `tau` reads
+    an entry's gain off its key, because each term has exactly one such
+    symbol: nabla wedges one onto the word, and (1/nu) ad(r) one from r."""
+    sums = _Sums()
+    for (p, sym, asym), c in image.terms.items():
+        j = asym.bit_length() - 1
+        if not asym or asym != 1 << j:
+            raise ContractViolation(
+                "connection element has a term of antisymmetric degree other than 1"
+            )
+        sums.add(key(p, _raised(sym, j)), c)
+    return [(k, weyl._constant_or_expr(c)) for k, c in sums.items()]
 
 
 def _raised(sym, j):
@@ -331,24 +308,33 @@ def _joined(parts, top):
     return WeylElement(parts[0].n, terms, top)
 
 
+def _r_equation(data, a):
+    """nabla a - (1/nu) a.a + R + 1 x Omega up to total degree K - 1, the
+    right side of the connection element's defining equation
+    delta r = nabla r - (1/nu) r.r + R + 1 x Omega at r = a."""
+    top = data.K - 1
+    out = weyl.nabla(a, data.chart, data.conn)
+    out = out - weyl.circ_over_nu(a, a, data.kind, data.chart, top)
+    out = out + data.curv.curvature_element.truncate(top)
+    return out + data.omega.to_weyl(truncation=top)
+
+
 def compute_r_via_fixed_point(data, seed=None):
-    """The connection element by plain fixed-point iteration from any seed.
+    """The connection element by plain fixed-point iteration from any seed,
+    a -> delta(s) + delta_inv(`_r_equation`(a)).
 
     Used to witness uniqueness: every seed must reproduce the element the
     degree-wise recursion computed.
     """
-    chart, conn, kind, K = data.chart, data.conn, data.kind, data.K
-    source = data.curv.curvature_element.truncate(K) + data.omega.to_weyl(truncation=K)
+    K = data.K
     ds = weyl.delta(data.s)
 
     def step(a):
-        bracket = weyl.nabla(a, chart, conn) + source.truncate(K - 1)
-        bracket = bracket - weyl.circ_over_nu(a, a, kind, chart, K - 1)
-        # lift the bracket's truncation before inverting: delta_inv raises
+        # lift the equation's truncation before inverting: delta_inv raises
         # the total degree by one, up to K
-        return (ds + weyl.delta_inv(bracket.with_truncation(None))).truncate(K)
+        return (ds + weyl.delta_inv(_r_equation(data, a).with_truncation(None))).truncate(K)
 
-    start = seed.truncate(K) if seed is not None else WeylElement.zero(chart.n, K)
+    start = seed.truncate(K) if seed is not None else WeylElement.zero(data.chart.n, K)
     return fixed_point(step, start, K)
 
 
@@ -437,10 +423,10 @@ def tau(data, f, degree=None, weight=None):
     A term nu^p_r y^m_r dz^j of r, contracted with a term of weight w at
     level L <= |m_r|, gives nu^(p + p_r - 1 + L) and a word of |m| + |m_r|
     - 2L + 1 symbols: w' = w + p_r + |m_r| - L >= w.  That needs the one
-    antisymmetric symbol of every term of r, which `_ad_op` enforces.  So a
-    term above the cut only ever feeds terms above it, and dropping them
-    leaves every term at or below the cut as it was.  σ at nu^N reads only
-    the terms of weight <= N, so `star` asks for no more.
+    antisymmetric symbol of every term of r, which `_raised_entries`
+    enforces.  So a term above the cut only ever feeds terms above it, and
+    dropping them leaves every term at or below the cut as it was.  σ at
+    nu^N reads only the terms of weight <= N, so `star` asks for no more.
 
     The parts are cached per function and per weight cut, a cut series never
     under the key of the full one, and a request for a higher degree
@@ -484,30 +470,11 @@ def star(data, f, g, N):
     return weyl.to_nu_series(scal, N)
 
 
-def _coerce_series(x, order):
-    if isinstance(x, NuSeries):
-        if x.order < order:
-            raise FedosovError("series has too few coefficients for the requested order")
-        return x
-    return NuSeries.from_function(x, order)
-
-
 def star_series(data, F, G, N):
-    """The bilinear extension of the star product to truncated series."""
-    F = _coerce_series(F, 0 if isinstance(F, NuSeries) else N)
-    G = _coerce_series(G, 0 if isinstance(G, NuSeries) else N)
-    n = data.chart.n
-    out = NuSeries.zeros(n, N)
-    for a in range(min(len(F.coeffs), N + 1)):
-        if F[a].is_zero():
-            continue
-        for b in range(min(len(G.coeffs), N + 1 - a)):
-            if G[b].is_zero():
-                continue
-            sub = star(data, F[a], G[b], N - a - b)
-            for r, c in enumerate(sub.coeffs):
-                out.coeffs[r + a + b] = out.coeffs[r + a + b] + c
-    return out
+    """The bilinear extension of the star product to truncated series (or
+    functions), up to order N."""
+    return _extend_over_series(
+        lambda f, M: _extend_over_series(lambda g, L: star(data, f, g, L), G, M), F, N)
 
 
 def closed_form_flat(chart, f, g, kind, N):
@@ -632,7 +599,7 @@ def has_wick_shape(data):
     return weyl.project(data.r, "pi_z").is_zero() and weyl.project(data.r, "pi_zbar").is_zero()
 
 
-def _projected_tau(data, f, hol, degree=None):
+def projected_tau(data, f, hol, degree=None):
     """pi_z tau(f) (hol) or pi_zbar tau(f) by the reduced recursion
     x = f + delta_z_inv(nabla_z x + (1/nu) pi_z(x.r)) or its mirror; exact up
     to total degree `degree` (default: the truncation), as for tau.  Part k+1
@@ -667,21 +634,11 @@ def _projected_tau(data, f, hol, degree=None):
     return _joined(_by_degree([WeylElement.scalar(f, truncation=top)], step, top), top)
 
 
-def pi_z_tau_fast(data, f):
-    """pi_z tau(f) by the reduced holomorphic recursion (needs pi_z r = 0)."""
-    return _projected_tau(data, f, True)
-
-
-def pi_zbar_tau_fast(data, f):
-    """pi_zbar tau(f) by the mirror reduced recursion (needs pi_zbar r = 0)."""
-    return _projected_tau(data, f, False)
-
-
 def star_via_projections(data, f, g, N):
     """f * g recomputed as sigma((pi_z tau f) . (pi_zbar tau g))."""
     _require_order(data, N)
-    tf = _projected_tau(data, f, True, 2 * N)
-    tg = _projected_tau(data, g, False, 2 * N)
+    tf = projected_tau(data, f, True, 2 * N)
+    tg = projected_tau(data, g, False, 2 * N)
     scal = weyl.sigma_circ(tf, tg, data.kind, data.chart, max_nu=N)
     return weyl.to_nu_series(scal, N)
 
@@ -706,18 +663,26 @@ def renormalize_s(data, B):
     return out
 
 
-def _bernoulli_series_apply(data, h, y, out_trunc):
-    """sum_j (B_j / j!) ((1/nu) ad(h))^j y, a finite sum on the filtration."""
-    total = y.truncate(out_trunc)
-    term = y
-    j = 0
-    while not term.is_zero() and j <= data.K:
-        j += 1
+def _ad_exp_terms(data, h, x, out_trunc, sign=1):
+    """(j, (sign/nu)^j ad(h)^j x / j!) for j = 0..K+1, exact up to total
+    degree `out_trunc`, until the first zero term: the terms of
+    exp(sign (1/nu) ad(h)) x, a finite sum on the filtration."""
+    yield 0, x.truncate(out_trunc)
+    term = x
+    for j in range(1, data.K + 2):
         term = weyl.ad_over_nu(h, term, data.kind, data.chart, out_trunc).scale(
-            GaussianRational.ratio(1, j)
+            GaussianRational.ratio(sign, j)
         )
         if term.is_zero():
-            break
+            return
+        yield j, term
+
+
+def _bernoulli_series_apply(data, h, y, out_trunc):
+    """sum_j (B_j / j!) ((1/nu) ad(h))^j y, a finite sum on the filtration."""
+    terms = _ad_exp_terms(data, h, y, out_trunc)
+    total = next(terms)[1]
+    for j, term in terms:
         b = bernoulli(j)
         if b:
             total = total + term.scale(GaussianRational(b))
@@ -731,21 +696,21 @@ def _exp_ad_sigma(data, h, x, N, sign=1):
     deg h >= 2 never lowers the degree, so only the terms of x of degree
     <= 2N are read."""
     _require_order(data, N)
-    out_trunc = 2 * N
-    total = weyl.sigma(x.truncate(out_trunc))
-    term = x
-    j = 0
-    while not term.is_zero() and j <= data.K:
-        j += 1
-        term = weyl.ad_over_nu(h, term, data.kind, data.chart, out_trunc).scale(
-            GaussianRational.ratio(sign, j)
-        )
+    total = WeylElement.zero(x.n)
+    for _, term in _ad_exp_terms(data, h, x, 2 * N, sign):
         total = total + weyl.sigma(term)
     return weyl.to_nu_series(total, N)
 
 
 def _extend_over_series(fn, f, N):
-    """The nu-linear extension of fn(function, order) -> series to a series f."""
+    """The nu-linear extension of fn(function, order) -> series to a series
+    f up to order N; a function f is passed to fn as it is.  A series
+    shorter than N is refused: its missing coefficients are not zero but
+    unknown."""
+    if not isinstance(f, NuSeries):
+        return fn(f, N)
+    if f.order < N:
+        raise FedosovError("series has too few coefficients for the requested order")
     out = NuSeries.zeros(f.coeffs[0].n, N)
     for a, c in enumerate(f.coeffs[: N + 1]):
         if c.is_zero():
@@ -764,14 +729,13 @@ class EquivalenceTransform:
         self.h = h
 
     def apply(self, f, N):
-        if isinstance(f, NuSeries):
-            return _extend_over_series(self.apply, f, N)
-        return _exp_ad_sigma(self.data, self.h, tau(self.data, f, 2 * N), N, sign=1)
+        return _extend_over_series(
+            lambda c, M: _exp_ad_sigma(self.data, self.h, tau(self.data, c, 2 * M), M, sign=1), f, N)
 
     def apply_inverse(self, f, N):
-        if isinstance(f, NuSeries):
-            return _extend_over_series(self.apply_inverse, f, N)
-        return _exp_ad_sigma(self.data, self.h, tau(self.data_prime, f, 2 * N), N, sign=-1)
+        return _extend_over_series(
+            lambda c, M: _exp_ad_sigma(self.data, self.h, tau(self.data_prime, c, 2 * M), M, sign=-1),
+            f, N)
 
 
 def equivalence_A_h(data, data_prime, C, N):
@@ -1125,7 +1089,9 @@ def weyl_transport(data):
 
 def weyl_transport_map(data_weyl, f, N):
     """f -> sigma(S tau'(f)) for the transported Weyl-kind data."""
-    if isinstance(f, NuSeries):
-        return _extend_over_series(lambda c, M: weyl_transport_map(data_weyl, c, M), f, N)
-    t = tau(data_weyl, f)
-    return weyl.to_nu_series(weyl.sigma(weyl.fib_equiv_S(t, data_weyl.chart, "forward")), N)
+
+    def transported(c, M):
+        t = weyl.fib_equiv_S(tau(data_weyl, c), data_weyl.chart, "forward")
+        return weyl.to_nu_series(weyl.sigma(t), M)
+
+    return _extend_over_series(transported, f, N)

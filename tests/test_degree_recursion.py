@@ -14,9 +14,9 @@ from wickstar.fedosov import (
     FedosovData,
     FedosovError,
     _bernoulli_series_apply,
-    _projected_tau,
     equivalence_A_h,
     fixed_point,
+    projected_tau,
 )
 from wickstar.weyl import WeylElement
 
@@ -77,10 +77,10 @@ def test_projected_tau_matches_the_fixed_point_map(request):
             for hol, selector in ((True, "pi_z"), (False, "pi_zbar")):
                 if not weyl.project(data.r, selector).is_zero():
                     with pytest.raises(FedosovError):
-                        _projected_tau(data, f, hol)
+                        projected_tau(data, f, hol)
                     continue
                 open_gates += 1
-                got = _projected_tau(data, f, hol)
+                got = projected_tau(data, f, hol)
                 want = _projected_tau_oracle(data, f, hol)
                 assert got == want, (name, kind, selector)
                 assert got.truncation == want.truncation

@@ -11,17 +11,18 @@ from wickstar.fedosov import (
     ContractViolation,
     FedosovData,
     FedosovError,
-    _projected_tau,
     _tau_key,
     closed_form_flat,
     compute_r_via_fixed_point,
     equivalence_A_h,
     fedosov_D,
     fixed_point,
+    projected_tau,
     star,
     star_series,
     star_via_projections,
     tau,
+    weyl_transport_map,
 )
 from wickstar.sampling import Lcg, random_polynomial
 from wickstar.weyl import NuSeries, WeylElement
@@ -279,10 +280,10 @@ def test_projected_tau_cut_at_twice_the_order(request, name, kind):
     for hol, selector in ((True, "pi_z"), (False, "pi_zbar")):
         if not weyl.project(data.r, selector).is_zero():
             with pytest.raises(FedosovError):
-                _projected_tau(data, f, hol, 2 * N)
+                projected_tau(data, f, hol, 2 * N)
             continue
-        full = _projected_tau(data, f, hol)
-        assert _projected_tau(data, f, hol, 2 * N) == full.truncate(2 * N)
+        full = projected_tau(data, f, hol)
+        assert projected_tau(data, f, hol, 2 * N) == full.truncate(2 * N)
         if kind == "wick":
             assert full == weyl.project(tau(data, f), selector)
 
@@ -297,7 +298,7 @@ def test_projected_tau_gate_is_not_sufficient(disk, kind):
     f = parse("z1^2*zb1 + i*zb1 - 3", 1, disk.factor_base)
     for hol, selector in ((True, "pi_z"), (False, "pi_zbar")):
         assert weyl.project(data.r, selector).is_zero()
-        assert _projected_tau(data, f, hol) == weyl.project(tau(data, f), selector)
+        assert projected_tau(data, f, hol) == weyl.project(tau(data, f), selector)
 
 
 def _exp_ad_sigma_full(data, h, f, N, sign):
@@ -446,6 +447,24 @@ def test_star_series_bilinear_extension(d_disk, p1):
     rhs = weyl.to_nu_series(
         weyl.sigma_circ(inner, tau(d_disk, h), "wick", d_disk.chart, N), N)
     assert lhs == rhs
+
+
+def test_a_series_shorter_than_the_order_is_refused(d_disk, disk, p1):
+    """A series ends at its order: the coefficients it lacks are unknown,
+    not zero, so every series extension refuses an order beyond it."""
+    z, zb = p1("z1"), p1("zb1")
+    short = NuSeries.from_function(z, 1)
+    for F, G in ((short, zb), (zb, short)):
+        with pytest.raises(FedosovError, match="too few coefficients"):
+            star_series(d_disk, F, G, 3)
+    transform = equivalence_A_h(d_disk, d_disk, FormSeries.zero(1), 1)
+    for extension in (transform.apply, transform.apply_inverse,
+                      lambda f, N: weyl_transport_map(FedosovData("weyl", disk, 8), f, N)):
+        with pytest.raises(FedosovError, match="too few coefficients"):
+            extension(short, 3)
+    # a series long enough is taken, and a function stands for its series
+    assert star_series(d_disk, NuSeries.from_function(z, 3), zb, 3) == star(d_disk, z, zb, 3)
+    assert transform.apply(short, 1) == transform.apply(z, 1)
 
 
 def test_tau_of_star_is_product(d_disk, p1):

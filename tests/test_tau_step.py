@@ -10,8 +10,16 @@ weight p + |m| above N.
 import pytest
 
 from wickstar import weyl
-from wickstar.expr import parse
-from wickstar.fedosov import FedosovData, FedosovError, _tau_key, fedosov_D, tau
+from wickstar.expr import GaussianRational, parse
+from wickstar.fedosov import (
+    ContractViolation,
+    FedosovData,
+    FedosovError,
+    _raised_entries,
+    _tau_key,
+    fedosov_D,
+    tau,
+)
 from wickstar.weyl import WeylElement
 
 CHARTS = ("c2_flat_omega20", "c2_flat_skew", "disk_omega_inu", "cp1_omega_nu")
@@ -137,3 +145,15 @@ def test_tau_refuses_a_negative_weight(disk):
     data = FedosovData("wick", disk, K=4)
     with pytest.raises(FedosovError):
         tau(data, parse("z1", 1), 2, -1)
+
+
+def test_table_entries_refuse_a_term_without_one_antisymmetric_symbol():
+    """A table entry moves the one antisymmetric symbol of each term of an
+    operator image into its symmetric word, which the division by |sym'|
+    and the weight cut rely on; a term with none or with two is refused."""
+    for asym in (0, 0b11):
+        image = WeylElement.from_terms(1, [(0, (1, 0), asym, parse("1", 1))])
+        with pytest.raises(ContractViolation, match="antisymmetric degree other than 1"):
+            _raised_entries(image, lambda p, sym: sym)
+    image = WeylElement.from_terms(1, [(0, (1, 0), 0b10, parse("2", 1))])
+    assert _raised_entries(image, lambda p, sym: sym) == [((1, 1), GaussianRational(2))]

@@ -13,8 +13,7 @@ from wickstar.fedosov import (
     hermitian_check,
     karabegov_form,
     parity_transport,
-    pi_z_tau_fast,
-    pi_zbar_tau_fast,
+    projected_tau,
     renormalize_s,
     separation_product,
     star,
@@ -85,19 +84,19 @@ def test_pi_z_tau_antiholomorphic_witnesses(d_flat, d_disk_nu, p1):
     for data in (d_flat, d_disk_nu):
         for text in ("zb1", "zb1^2"):
             h = p1(text)
-            assert pi_z_tau_fast(data, h) == WeylElement.scalar(h, truncation=data.K)
+            assert projected_tau(data, h, True) == WeylElement.scalar(h, truncation=data.K)
 
 
 def test_pi_z_tau_matches_projection(d_disk_nu, p1):
     f = p1("z1^2*zb1 + 2*z1")
-    assert pi_z_tau_fast(d_disk_nu, f) == weyl.project(tau(d_disk_nu, f), "pi_z")
-    assert pi_zbar_tau_fast(d_disk_nu, f) == weyl.project(tau(d_disk_nu, f), "pi_zbar")
+    assert projected_tau(d_disk_nu, f, True) == weyl.project(tau(d_disk_nu, f), "pi_z")
+    assert projected_tau(d_disk_nu, f, False) == weyl.project(tau(d_disk_nu, f), "pi_zbar")
 
 
 def test_pi_z_tau_requires_condition(c2_flat_omega20, p2):
     data = FedosovData("wick", c2_flat_omega20, K=6)
     with pytest.raises(FedosovError):
-        pi_z_tau_fast(data, p2("zb1"))
+        projected_tau(data, p2("zb1"), True)
 
 
 def test_star_via_projections(d_disk_nu, p1):
