@@ -610,25 +610,38 @@ def _parse_two_form(doc, n, base, omega=None):
 
 
 def load_chart(source):
-    """Load and fully validate a chart document (path, JSON text, or dict)."""
+    """Load and fully validate a chart document (path, JSON text, or dict).
+
+    A document given as text or by path is a stored value: the chart is
+    an entry of the store (`expr._stored`) keyed by the text and, for a
+    path, the path, which names the chart when the document does not.  A
+    document loaded before returns the stored chart; one that fails is
+    never stored, so loading it again raises the same error."""
     if isinstance(source, dict):
-        doc = source
-        name = doc.get("name", "")
-    else:
-        text = source
-        name = ""
-        try:
-            if "\n" not in str(source) and str(source).endswith(".json"):
-                with open(source) as fh:
-                    text = fh.read()
-                name = str(source)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ChartError(f"cannot read chart file: {exc}") from exc
+        return _chart(source, source.get("name", ""))
+    text = source
+    name = ""
+    try:
+        if "\n" not in str(source) and str(source).endswith(".json"):
+            with open(source) as fh:
+                text = fh.read()
+            name = str(source)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ChartError(f"cannot read chart file: {exc}") from exc
+    key = ("chart", text, name)
+    chart = _stored(key)
+    if chart is None:
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ChartError(f"chart document is not valid JSON: {exc}") from exc
         name = _expect(doc, dict, "a chart document").get("name", name)
+        chart = _stored(key, _chart(doc, name))
+    return chart
+
+
+def _chart(doc, name):
+    """The validated chart of the document `doc`, named `name`."""
     name = _expect(name, str, "`name`")
 
     n = doc.get("dimension")

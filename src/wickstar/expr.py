@@ -1387,52 +1387,40 @@ MAX_NESTING = 100
 
 def _tokenize(text):
     tokens = []
+    append = tokens.append
+    end = len(text)
     i = 0
-    while i < len(text):
+    while i < end:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _OPERATORS:
-            tokens.append((ch, ch, i))
+            append((ch, ch, i))
             i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < end and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", text[i:j], i))
+            append(("num", text[i:j], i))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        elif ch.isspace():
+            i += 1
+        elif ch.isalpha():
+            j = i + 1
+            while j < end and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            append(("name", text[i:j], i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    append(("end", "", end))
     return tokens
 
 
+def _key_degree(key, nvars):
+    return sum(_unpack(key, nvars))
+
+
 def _degree(poly):
-    return max((sum(_unpack(k, poly.nvars)) for k in poly._t), default=0)
-
-
-def _sizes(value):
-    """Term counts of the numerator and of the expanded denominator of a
-    parsed value, a ChartPolynomial or a ChartExpr."""
-    if type(value) is ChartPolynomial:
-        return len(value._t), 1
-    return len(value.num._t), 1 if value.is_polynomial() else len(value.den._t)
-
-
-def _total_degree(value):
-    """The degree of the numerator plus that of the denominator."""
-    if type(value) is ChartPolynomial:
-        return _degree(value)
-    return _degree(value.num) + _degree(value.den)
+    return max((_key_degree(k, poly.nvars) for k in poly._t), default=0)
 
 
 def _cap_terms(bound, pos):
@@ -1450,48 +1438,79 @@ def _integer(tok):
 class _Parser:
     """Recursive-descent parser for the chart expression grammar.
 
-    A value stays a ChartPolynomial until a division by a non-constant or a
-    negative power of a variable gives it a denominator.  From there on it
-    is a ChartExpr over the factor base, and so is every value combined
-    with it, so every rational value is held factored over the base."""
+    A value is folded in the cheapest form that holds it.  A monomial c*x^k,
+    a constant included, stays the pair (k, c) of its packed exponent and
+    its GaussianRational coefficient; the zero is (0, 0).  A sum of two
+    distinct monomials, and every value combined with a polynomial, is a
+    ChartPolynomial.  A division by a non-constant or a negative power of a
+    variable gives a value a denominator: from there on it is a ChartExpr
+    over the factor base, and so is every value combined with it, so every
+    rational value is held factored over the base."""
 
     def __init__(self, text, n, base):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.n = n
+        self.nvars = 2 * n
         self.base = factor_base(base)
+        # the parsed value of each name as the chart writes it
+        shifts = _LAYOUTS[self.nvars].shifts
+        self.names = {var_name(j, n): (1 << shift, GR_ONE) for j, shift in enumerate(shifts)}
+        self.names["i"] = (0, GR_I)
+
+    def polynomial(self, value):
+        """A parsed value as a ChartPolynomial, when it is not a ChartExpr."""
+        if type(value) is not tuple:
+            return value
+        key, c = value
+        if not c:
+            return _poly(self.nvars, {}, 1)
+        return _poly(self.nvars, {key: (c.a, c.b)}, c.d)
 
     def lift(self, value):
         """A parsed value as a ChartExpr over the base."""
         if type(value) is ChartExpr:
             return value
+        value = self.polynomial(value)
         if not value._t:
-            return _zero(value.nvars, self.base)
+            return _zero(self.nvars, self.base)
         return _new(value, 0, self.base.zeros, self.base)
 
     def operands(self, left, right):
-        """Two polynomials as they are, else both as ChartExprs."""
-        if type(left) is type(right):
-            return left, right
-        return self.lift(left), self.lift(right)
+        """Two values of one kind: ChartExprs when either is one, else
+        ChartPolynomials."""
+        if type(left) is ChartExpr or type(right) is ChartExpr:
+            return self.lift(left), self.lift(right)
+        return self.polynomial(left), self.polynomial(right)
+
+    def sizes(self, value):
+        """Term counts of the numerator and of the expanded denominator."""
+        kind = type(value)
+        if kind is tuple:
+            return (1 if value[1] else 0), 1
+        if kind is ChartPolynomial:
+            return len(value._t), 1
+        return len(value.num._t), 1 if value.is_polynomial() else len(value.den._t)
+
+    def total_degree(self, value):
+        """The degree of the numerator plus that of the denominator."""
+        kind = type(value)
+        if kind is tuple:
+            return _key_degree(value[0], self.nvars)
+        if kind is ChartPolynomial:
+            return _degree(value)
+        return _degree(value.num) + _degree(value.den)
 
     def denominator(self, value):
         """The factored denominator (mono, exps) of a parsed value."""
-        if type(value) is ChartPolynomial:
-            return 0, self.base.zeros
-        return value._mono, value._exps
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if type(value) is ChartExpr:
+            return value._mono, value._exps
+        return 0, self.base.zeros
 
     def expect(self, kind):
-        tok = self.advance()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
@@ -1507,94 +1526,136 @@ class _Parser:
 
     def parse(self):
         value = self.sum()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return self.lift(value)
 
     def sum(self):
+        tokens = self.tokens
         left = self.product()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
+        tok = tokens[self.pos]
+        while tok[0] == "+" or tok[0] == "-":
+            self.pos += 1
             right = self.product()
-            (an, ad), (bn, bd) = _sizes(left), _sizes(right)
-            # every rational value of the parse is over the parser's base,
-            # where equal denominators have equal exponents
-            same_den = self.denominator(left) == self.denominator(right)
-            _cap_terms(an + bn if same_den else max(an * bd + bn * ad, ad * bd), pos)
-            left, right = self.operands(left, right)
-            left = left + right if op == "+" else left - right
+            subtract = tok[0] == "-"
+            if type(left) is tuple and type(right) is tuple and (
+                    left[0] == right[0] or not left[1] or not right[1]):
+                # one monomial, or none: at most 2 terms, within the cap
+                (k1, c1), (k2, c2) = left, right
+                c = c1 - c2 if subtract else c1 + c2
+                left = (k1 if c1 else k2, c) if c else (0, c)
+            else:
+                (an, ad), (bn, bd) = self.sizes(left), self.sizes(right)
+                # every rational value of the parse is over the parser's base,
+                # where equal denominators have equal exponents
+                if self.denominator(left) == self.denominator(right):
+                    _cap_terms(an + bn, tok[2])
+                else:
+                    _cap_terms(max(an * bd + bn * ad, ad * bd), tok[2])
+                left, right = self.operands(left, right)
+                left = left - right if subtract else left + right
+            tok = tokens[self.pos]
         return left
 
     def product(self):
+        tokens = self.tokens
         left = self.power()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
+        tok = tokens[self.pos]
+        while tok[0] == "*" or tok[0] == "/":
+            self.pos += 1
             right = self.power()
-            (an, ad), (bn, bd) = _sizes(left), _sizes(right)
-            if op == "*":
-                _cap_terms(max(an * bn, ad * bd), pos)
-                left, right = self.operands(left, right)
-                left = left * right
-            else:
-                if right.is_zero():
-                    raise ParseError("division by zero expression", pos)
-                _cap_terms(max(an * bd, ad * bn), pos)
-                if type(right) is ChartPolynomial and right.is_constant():
-                    left = left.scale(right.constant_value().inverse())
+            if type(left) is tuple and type(right) is tuple and (tok[0] == "*" or not right[0]):
+                # a monomial times or over a constant: one term, within the cap
+                (k1, c1), (k2, c2) = left, right
+                if tok[0] == "/":
+                    if not c2:
+                        raise ParseError("division by zero expression", tok[2])
+                    left = (k1, c1 / c2)
                 else:
-                    left = self.lift(left) / self.lift(right)
+                    c = c1 * c2
+                    if c and k1 and k2:
+                        _check_keys(k1 + k2, self.nvars)
+                    left = (k1 + k2, c) if c else (0, c)
+            else:
+                left = self.product_step(left, right, tok)
+            tok = tokens[self.pos]
         return left
 
+    def product_step(self, left, right, tok):
+        """left * right or left / right, for operands that are not both
+        monomials."""
+        (an, ad), (bn, bd) = self.sizes(left), self.sizes(right)
+        if tok[0] == "*":
+            _cap_terms(max(an * bn, ad * bd), tok[2])
+            left, right = self.operands(left, right)
+            return left * right
+        if not bn:
+            raise ParseError("division by zero expression", tok[2])
+        _cap_terms(max(an * bd, ad * bn), tok[2])
+        if type(right) is tuple and not right[0]:
+            inverse = right[1].inverse()
+        elif type(right) is ChartPolynomial and right.is_constant():
+            inverse = right.constant_value().inverse()
+        else:
+            return self.lift(left) / self.lift(right)
+        return (left[0], left[1] * inverse) if type(left) is tuple else left.scale(inverse)
+
     def power(self):
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
         if tok[0] == "-":
-            self.advance()
-            return -self.nested(self.power, tok[2])
+            self.pos += 1
+            value = self.nested(self.power, tok[2])
+            return (value[0], -value[1]) if type(value) is tuple else -value
         base, atomic = self.atom()
-        tok = self.peek()
-        if tok[0] == "^":
-            self.advance()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.advance()
-                sign = -1
-            exp_tok = self.expect("num")
-            exponent = sign * _integer(exp_tok)
-            if abs(exponent) > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the cap of {MAX_EXPONENT}", exp_tok[2]
-                )
-            if exponent < 0 and not atomic:
-                raise ParseError(
-                    "negative exponent is only allowed on atoms", exp_tok[2]
-                )
-            if exponent < 0 and base.is_zero():
-                raise ParseError("zero to a negative power", exp_tok[2])
-            degree = abs(exponent) * _total_degree(base)
-            if degree > MAX_POWER_DEGREE:
-                raise ParseError(
-                    f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", exp_tok[2]
-                )
-            # a power of t terms has at most comb(t + k - 1, k) terms
-            k = abs(exponent)
-            _cap_terms(max(math.comb(t + k - 1, k) for t in _sizes(base) if t), exp_tok[2])
-            if exponent >= 0 or type(base) is ChartExpr:
-                return base ** exponent
-            if base.is_constant():
-                return ChartPolynomial.constant(base.nvars, base.constant_value() ** exponent)
-            return self.lift(base) ** exponent
-        return base
+        if tokens[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        sign = 1
+        if tokens[self.pos][0] == "-":
+            self.pos += 1
+            sign = -1
+        exp_tok = self.expect("num")
+        exponent = sign * _integer(exp_tok)
+        if abs(exponent) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {exponent} exceeds the cap of {MAX_EXPONENT}", exp_tok[2]
+            )
+        if exponent < 0 and not atomic:
+            raise ParseError(
+                "negative exponent is only allowed on atoms", exp_tok[2]
+            )
+        if exponent < 0 and not self.sizes(base)[0]:  # a zero base
+            raise ParseError("zero to a negative power", exp_tok[2])
+        degree = abs(exponent) * self.total_degree(base)
+        if degree > MAX_POWER_DEGREE:
+            raise ParseError(
+                f"power of degree {degree} exceeds the cap of {MAX_POWER_DEGREE}", exp_tok[2]
+            )
+        # a power of t terms has at most comb(t + k - 1, k) terms
+        k = abs(exponent)
+        _cap_terms(max(math.comb(t + k - 1, k) for t in self.sizes(base) if t), exp_tok[2])
+        if type(base) is tuple:
+            key, c = base
+            if exponent < 0 and key:
+                return self.lift(base) ** exponent
+            if key:
+                _check_keys(key * exponent, self.nvars)
+            return key * exponent, c ** exponent
+        return base ** exponent
 
     def atom(self):
-        """Returns (expr, is_atomic); atoms admit negative exponents."""
-        tok = self.advance()
+        """Returns (value, is_atomic); atoms admit negative exponents."""
+        tok = self.tokens[self.pos]
+        self.pos += 1
         kind, text, pos = tok
         if kind == "num":
-            return ChartPolynomial.constant(2 * self.n, _integer(tok)), True
+            return (0, GaussianRational(_integer(tok))), True
         if kind == "name":
-            if text == "i":
-                return ChartPolynomial.constant(2 * self.n, GR_I), True
+            value = self.names.get(text)
+            if value is not None:
+                return value, True
             if text.startswith("zb"):
                 idx_text, offset = text[2:], self.n
             elif text.startswith("z"):
@@ -1608,7 +1669,7 @@ class _Parser:
                 raise ParseError(
                     f"variable {text!r} out of range for dimension {self.n}", pos
                 )
-            return ChartPolynomial.variable(2 * self.n, offset + index - 1), True
+            return self.names[var_name(offset + index - 1, self.n)], True
         if kind == "(":
             inner = self.nested(self.sum, pos)
             self.expect(")")

@@ -430,7 +430,9 @@ def tau(data, f, degree=None, weight=None):
 
     The parts are cached per function and per weight cut, a cut series never
     under the key of the full one, and a request for a higher degree
-    resumes the recursion from the last part."""
+    resumes the recursion from the last part.  A cut request is served from
+    the full series when that holds its degree: as no step lowers the
+    weight, the full series without its terms above the cut is the cut one."""
     degree = _cut_degree(data, degree)
     key = _tau_key(f)
     if weight is None:
@@ -439,6 +441,11 @@ def tau(data, f, degree=None, weight=None):
     else:
         if weight < 0:
             raise FedosovError(f"tau weight {weight} is negative")
+        full = data.tau_cache.get(key)
+        if full is not None and len(full) > degree:
+            terms = {k: c for part in full[: degree + 1] for k, c in part.terms.items()
+                     if k[0] + sum(k[1]) <= weight}
+            return WeylElement(f.n, terms, degree)
         top, key = weight, (key, weight)
     parts = data.tau_cache.get(key)
     if parts is None or len(parts) <= degree:
@@ -1091,7 +1098,8 @@ def weyl_transport_map(data_weyl, f, N):
     """f -> sigma(S tau'(f)) for the transported Weyl-kind data."""
 
     def transported(c, M):
-        t = weyl.fib_equiv_S(tau(data_weyl, c), data_weyl.chart, "forward")
+        # sigma at nu^M reads total degree <= 2M, and S keeps the degree
+        t = weyl.fib_equiv_S(tau(data_weyl, c, 2 * M), data_weyl.chart, "forward")
         return weyl.to_nu_series(weyl.sigma(t), M)
 
     return _extend_over_series(transported, f, N)

@@ -12,9 +12,7 @@ stream from a tag so suites can draw without interfering.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .expr import ChartExpr, ChartPolynomial, GaussianRational
+from .expr import ChartExpr, ChartPolynomial, GaussianRational, _make
 from .weyl import WeylElement
 
 _A = 6364136223846793005
@@ -36,14 +34,14 @@ class Lcg:
         span = high - low + 1
         return low + self.next_u32() % span
 
-    def fraction(self):
-        """A fraction with numerator in [-3, 3] and denominator in [1, 2]."""
-        num = self.randint(-3, 3)
-        den = self.randint(1, 2)
-        return Fraction(num, den)
-
     def gaussian_rational(self):
-        return GaussianRational(self.fraction(), self.fraction())
+        """re + im*i with re and im each a numerator in [-3, 3] over a
+        denominator in [1, 2], drawn in that order."""
+        re_num = self.randint(-3, 3)
+        re_den = self.randint(1, 2)
+        im_num = self.randint(-3, 3)
+        im_den = self.randint(1, 2)
+        return _make(re_num * im_den, im_num * re_den, re_den * im_den)
 
     def split(self, tag):
         """An independent generator derived from this one and a tag."""
@@ -58,14 +56,10 @@ def random_polynomial(n, rng, max_degree=3, terms=4):
     for _ in range(terms):
         exp = tuple(rng.randint(0, max_degree) if rng.randint(0, 1) else 0 for _ in range(2 * n))
         coeff = rng.gaussian_rational()
-        if coeff.is_zero():
-            continue
-        cur = out.get(exp)
-        out[exp] = coeff if cur is None else cur + coeff
-    out = {e: c for e, c in out.items() if not c.is_zero()}
-    if not out:
-        out = {(0,) * (2 * n): GaussianRational(1)}
-    return ChartExpr(ChartPolynomial(2 * n, out))
+        out[exp] = out[exp] + coeff if exp in out else coeff
+    # the constructor drops the coefficients that summed to zero
+    poly = ChartPolynomial(2 * n, out)
+    return ChartExpr(poly if poly._t else ChartPolynomial.one(2 * n))
 
 
 def monomial_pool(n, max_degree=3):

@@ -1,4 +1,15 @@
-"""Deterministic sampling utilities."""
+"""Deterministic sampling utilities.
+
+`sampling_golden.json` pins the serializations of `random_polynomial` and
+`random_weyl_element` for seeds 0-3 on disk and c2_flat: the values every
+sampled check draws, so a change to how a draw is turned into a value
+must leave them as they are.
+"""
+
+import json
+import pathlib
+
+import pytest
 
 from wickstar.sampling import Lcg, monomial_pool, random_polynomial, random_weyl_element, spanning_set
 
@@ -46,3 +57,17 @@ def test_spanning_set_bounds(c1_flat):
     assert all(e.max_deg() <= 4 for e in els)
     syms = {key[1] for e in els for key in e.terms}
     assert (0, 0) in syms and (2, 2) not in {s for s in syms if sum(s) > 4}
+
+
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("sampling_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", ("disk", "c2_flat"))
+def test_sampled_values_are_pinned(request, name):
+    chart = request.getfixturevalue(name)
+    for seed in range(4):
+        want = GOLDEN[f"{name} {seed}"]
+        element = random_weyl_element(chart, Lcg(seed))
+        assert random_polynomial(chart.n, Lcg(seed)).serialize() == want["random_polynomial"]
+        assert sorted([repr(k), v.serialize()] for k, v in element.terms.items()) == \
+            want["random_weyl_element"]

@@ -12,6 +12,7 @@ store computes or extends is checked, and that memory stays bounded.
 import contextlib
 import gc
 import io
+import json
 import sys
 import threading
 
@@ -21,8 +22,8 @@ import test_ball2_golden
 import test_star_golden
 import test_verify_golden
 from wickstar import expr as expr_module
-from wickstar.chart import load_chart
-from wickstar.cli import main
+from wickstar.chart import Chart, ChartError, load_chart
+from wickstar.cli import main, resolve_chart
 from wickstar.expr import parse
 from wickstar.fedosov import ContractViolation, FedosovData, _RSeries, star
 
@@ -109,6 +110,10 @@ def _stored_values():
                     out[key, repr(name), repr(k)] = _frozen(v)
         elif isinstance(entry, expr_module._FactorBase):
             out[key, "base"] = _frozen(entry)
+        elif isinstance(entry, Chart):
+            out[key, "chart"] = [_frozen(entry.metric), _frozen(entry.inverse_metric),
+                                 _frozen(entry.factor_base), _frozen(entry.potential_gradient),
+                                 entry.omega_series.render(), entry.name]
         else:
             out[key, "parts"] = _frozen(entry.parts)
             for k, v in entry.ad_ops.items():
@@ -116,12 +121,13 @@ def _stored_values():
     return out
 
 
-def test_stored_values_do_not_change_after_use(disk):
-    """r and every stored table read the same after a whole verify run on
-    the same chart and product, which adds to the tables but must not
-    change a published value (an in-place write to the terms of a shared
-    part would)."""
+def test_stored_values_do_not_change_after_use():
+    """r, the chart and every stored table read the same after a whole
+    verify run on the same chart and product, which adds to the tables but
+    must not change a published value (an in-place write to the terms of a
+    shared part would)."""
     _clear_store()
+    disk = resolve_chart("disk")
     data = FedosovData("wick", disk, 6)
     z, zb = parse("z1^2*zb1 + i*zb1 - 3", 1, disk.factor_base), parse("zb1^2 + z1", 1, disk.factor_base)
     star(data, z, zb, 2)
@@ -131,6 +137,7 @@ def test_stored_values_do_not_change_after_use(disk):
         assert main(["verify", "--chart", "disk", "--product", "wick", "--suite", "all",
                      "--order", "2"]) in (0, 1)
     after = _stored_values()
+    assert any(key[1] == "chart" for key in before if len(key) == 2)
     assert data.r.serialize() == r_before
     assert before.keys() <= after.keys()
     assert all(after[key] == value for key, value in before.items())
@@ -172,6 +179,40 @@ def test_a_failed_check_publishes_nothing(disk, monkeypatch, r_calls):
     assert not any(isinstance(entry, _RSeries) for entry in STORE.values())
     FedosovData("weyl", disk, 6)
     assert r_calls == {"compute": [6, 6], "verify": [6]}
+
+
+def test_a_chart_document_is_loaded_once(tmp_path):
+    """The same text loaded twice is one chart, and so is the same path; a
+    path that names the chart is part of the key; a failing document raises
+    the same error each time and leaves no entry; distinct documents age
+    out of the store like any other entry."""
+    _clear_store()
+    text = json.dumps(DISK)
+    chart = load_chart(text)
+    assert load_chart(text) is chart
+    assert load_chart(json.dumps(DISK, indent=1)) is not chart
+    paths = [str(tmp_path / f"{name}.json") for name in ("a", "b")]
+    for path in paths:
+        with open(path, "w") as fh:
+            fh.write(text)
+    a, b = (load_chart(path) for path in paths)
+    assert (a.name, b.name, chart.name) == (*paths, "")
+    assert load_chart(paths[0]) is a and a._key == b._key == chart._key
+
+    bad = json.dumps({**DISK, "inverse_metric": [["(1 - z1*zb1)^2"]]})
+    entries = len(STORE)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ChartError) as exc:
+            load_chart(bad)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "inverse metric mismatch at (0,0)"
+    assert len(STORE) == entries and ("chart", bad, "") not in STORE
+
+    for k in range(1, 301):
+        load_chart(json.dumps({"dimension": 1, "metric": [[str(k)]], "inverse_metric": [[f"1/{k}"]]}))
+        assert len(STORE) <= expr_module._STORE_BOUND
+    assert len(STORE) == expr_module._STORE_BOUND
 
 
 def test_charts_of_equal_metric_share_one_geometry_entry(disk, disk_omega_nu):

@@ -9,7 +9,7 @@ weight p + |m| above N.
 
 import pytest
 
-from wickstar import weyl
+from wickstar import fedosov as fedosov_module, weyl
 from wickstar.expr import GaussianRational, parse
 from wickstar.fedosov import (
     ContractViolation,
@@ -133,6 +133,28 @@ def test_tau_cut_at_a_weight_is_the_full_tau_restricted(request, name, kind):
         _check_weight_cut(data, f, N)
         _check_against_composition(data, f)
         assert {_tau_key(f), (_tau_key(f), N)} <= data.tau_cache.keys()
+
+
+@pytest.mark.parametrize("kind", weyl.KINDS)
+@pytest.mark.parametrize("name", CHARTS)
+def test_a_cut_request_is_served_from_the_full_series(request, name, kind, monkeypatch):
+    """After the full tau(f), a cut request at any degree runs no step and
+    adds no cache entry, and gives what a cold cut request gives."""
+    chart = request.getfixturevalue(name)
+    f = _function(chart)
+    warm = FedosovData(kind, chart, K=K)
+    tau(warm, f)
+    keys = set(warm.tau_cache)
+    steps = []
+    step = fedosov_module._tau_step
+    monkeypatch.setattr(fedosov_module, "_tau_step", lambda *args: steps.append(1) or step(*args))
+    requests = [(degree, weight) for degree in range(K + 1) for weight in range(K + 1)]
+    served = [tau(warm, f, degree, weight) for degree, weight in requests]
+    assert steps == [] and set(warm.tau_cache) == keys
+    for (degree, weight), got in zip(requests, served):
+        want = tau(FedosovData(kind, chart, K=K), f, degree, weight)
+        assert got == want and got.truncation == want.truncation == degree
+    assert steps
 
 
 @pytest.mark.parametrize("kind", weyl.KINDS)
