@@ -28,6 +28,7 @@ from .fedosov import (
     FedosovData,
     FedosovError,
     Report,
+    bidifferential,
     closed_form_flat,
     compute_r_via_fixed_point,
     equivalence_A_h,

@@ -569,7 +569,7 @@ def _parse_form_component_key(key, n):
             idx, offset = token[2:], 0
         else:
             raise ChartError(f"malformed form symbol {token!r}")
-        if not idx.isdigit() or not 1 <= int(idx) <= n:
+        if not (idx.isascii() and idx.isdigit()) or not 1 <= int(idx) <= n:
             raise ChartError(f"form symbol {token!r} out of range")
         return offset + int(idx) - 1
 

@@ -1662,7 +1662,7 @@ class _Parser:
                 idx_text, offset = text[1:], 0
             else:
                 raise ParseError(f"unknown name {text!r}", pos)
-            if not idx_text.isdigit():
+            if not (idx_text.isascii() and idx_text.isdigit()):
                 raise ParseError(f"malformed variable {text!r}", pos)
             index = int(idx_text)
             if not 1 <= index <= self.n:

@@ -4,10 +4,12 @@ Builds the connection element r of the chosen fibrewise product from the
 data (two-form series, normalization element, truncation degree), the flat
 derivation D = -delta + nabla - (1/nu) ad(r), the associated Taylor series
 tau(f), and the star product f * g = sigma(tau(f) . tau(g)).  On top of
-that sit the verification operations: the Wick-type characterization, the
-reduced holomorphic recursions, renormalization and equivalence
-transformations, parity transport, the Karabegov form, Hermiticity,
-differential order and the separation-of-variables reindexing.
+that sit the exact table of the star product's coefficients
+(`bidifferential`), from which the differential order and the
+separation-of-variables reindexing are read, and the other verification
+operations: the Wick-type characterization, the reduced holomorphic
+recursions, renormalization and equivalence transformations, parity
+transport, the Karabegov form and Hermiticity.
 
 Every equation x = x0 + delta_inv(L x) with L not lowering the total degree
 (r, tau(f), the projected Taylor series, the equivalence generator h) is
@@ -18,13 +20,15 @@ from any seed, as the witness of uniqueness.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import weyl
 from .chart import FormSeries, TwoForm
-from .expr import GR_I, ChartExpr, ExprError, GaussianRational, _stored, _Sums
+from .expr import GR_I, ChartExpr, ChartPolynomial, ExprError, GaussianRational, _stored, _Sums
+from .sampling import Lcg, random_polynomial
 from .weyl import NuSeries, WeylElement
 
 
@@ -530,15 +534,13 @@ def closed_form_flat(chart, f, g, kind, N):
 # -- Wick-type characterization -----------------------------------------------------------
 
 
-def default_pool(chart, count=6):
-    """Deterministic pool of small polynomials used by behavioral checks."""
-    from .sampling import Lcg, random_polynomial
-
+def default_pool(chart):
+    """Deterministic pool of three small polynomials used by behavioral checks."""
     rng = Lcg(1)
-    return [random_polynomial(chart.n, rng) for _ in range(count)]
+    return [random_polynomial(chart.n, rng) for _ in range(3)]
 
 
-def wick_type_check(data, N, witnesses=None):
+def wick_type_check(data, N):
     """Structural and behavioral characterization of the Wick type.
 
     Structural: pi_z r = pi_zbar r = 0, same for the normalization element,
@@ -560,24 +562,14 @@ def wick_type_check(data, N, witnesses=None):
     t11 = data.omega.is_type_11()
     report.add("structural: two-form series of type (1,1)", t11)
 
-    if witnesses is None:
-        pool = default_pool(chart)
-        anti = [ChartExpr.one(n)]
-        hol = [ChartExpr.one(n)]
-        for k in range(n):
-            zb = ChartExpr.variable(n, n + k)
-            z = ChartExpr.variable(n, k)
-            for d in (1, 2, 3):
-                anti.append(zb ** d)
-                hol.append(z ** d)
-        left_pairs = [(h, g) for h in anti for g in pool[:3]]
-        right_pairs = [(f, h) for h in hol for f in pool[:3]]
-    else:
-        left_pairs, right_pairs = witnesses
-
+    pool = default_pool(chart)
+    anti = [ChartExpr.one(n)] + [ChartExpr.variable(n, n + k) ** d for k in range(n) for d in (1, 2, 3)]
+    hol = [ChartExpr.one(n)] + [ChartExpr.variable(n, k) ** d for k in range(n) for d in (1, 2, 3)]
     behavioral = (
-        ("behavioral: h' * g = h'g for antiholomorphic h'", ("h'", "g"), left_pairs),
-        ("behavioral: f * h = fh for holomorphic h", ("f", "h"), right_pairs),
+        ("behavioral: h' * g = h'g for antiholomorphic h'", ("h'", "g"),
+         [(h, g) for h in anti for g in pool]),
+        ("behavioral: f * h = fh for holomorphic h", ("f", "h"),
+         [(f, h) for h in hol for f in pool]),
     )
     for name, (left, right), pairs in behavioral:
         ok, detail = True, ""
@@ -813,8 +805,6 @@ def _poly_antiderivative(poly_expr, var):
     if not poly_expr.is_polynomial():
         raise FedosovError("two-form coefficients must be polynomial to integrate")
     num = poly_expr.num
-    from .expr import ChartPolynomial
-
     out = {}
     for exp, coeff in num.terms.items():
         new = list(exp)
@@ -899,7 +889,7 @@ def karabegov_form(data, N, pool=None):
             u[k].coeffs[power] = u[k].coeffs[power] + _solve_gradient(chart, w, n - offset)
 
     # the defining star-product relations
-    pool = pool if pool is not None else default_pool(chart, count=3)
+    pool = pool if pool is not None else default_pool(chart)
     for k in range(n):
         for l in range(n):
             zl = ChartExpr.variable(n, offset + l)
@@ -974,98 +964,109 @@ def hermitian_check(data, N):
     return report
 
 
-# -- Vey-type differential order --------------------------------------------------------
+# -- the bidifferential operators ---------------------------------------------------------
 
 
-def _nested_commutator_value(op, mults, f0):
-    """[[..[op, m_{p1}]..], m_{pk}](f0) by inclusion-exclusion over subsets."""
-    if not mults:
-        return op(f0)
-    first, rest = mults[0], mults[1:]
-    inner = lambda x: op(first * x) - first * op(x)
-    return _nested_commutator_value(inner, rest, f0)
+def _exponents(size, top):
+    """The exponent tuples over `size` coordinates of total degree <= top,
+    by total degree."""
+    layers = [[(0,) * size]]
+    for _ in range(top):
+        layers.append(sorted({_raised(a, j) for a in layers[-1] for j in range(size)}, reverse=True))
+    return [a for layer in layers for a in layer]
+
+
+def _taylor_monomial(nvars, exp):
+    """u_exp = x^exp / exp!, whose derivative d^I is u_{exp - I}."""
+    factorial = math.prod(map(math.factorial, exp))
+    return ChartExpr(ChartPolynomial(nvars, {exp: GaussianRational.ratio(1, factorial)}))
+
+
+def _derivative(f, exp):
+    """d^exp f."""
+    for j, e in enumerate(exp):
+        for _ in range(e):
+            f = f.differentiate(j)
+    return f
+
+
+def _applied(table, f, g, N):
+    """sum c^r_{IJ} d^I f d^J g over a `bidifferential` table, up to nu^N."""
+    out = NuSeries.zeros(f.n, N)
+    for (r, I, J), c in table.items():
+        out.coeffs[r] = out.coeffs[r] + c * _derivative(f, I) * _derivative(g, J)
+    return out
+
+
+def bidifferential(data, N):
+    """The exact coefficients {(r, I, J): c^r_{IJ}} of C_r(f, g) =
+    sum c^r_{IJ} d^I f d^J g for r <= N, I and J exponent tuples over
+    z1..zn, zb1..zbn; nonzero coefficients alone, sorted by key.
+
+    tau(f) = sum_I T_I d^I f, as every derivative of f enters through nabla
+    and the other steps are linear over chart functions.  nabla raises the
+    weight p + |m| by one and no step lowers it (see `tau`), so the terms
+    sigma reads up to nu^N carry derivatives of order <= N.  In order of
+    |A| <= N, T_A = tau(u_A) - sum_{I < A} T_I u_{A-I} on the Taylor
+    monomials u_A, with `star`'s cut of tau, and c^r_{IJ} is the nu^r
+    coefficient of sigma(T_I . T_J), the fibrewise product being bilinear
+    over chart functions.  A table that fails to reproduce `star` on a
+    fixed pair of polynomials of degree N + 1 with every coefficient drawn
+    raises ContractViolation.
+    """
+    _require_order(data, N)
+    nvars = 2 * data.chart.n
+    ops = {}
+    for A in _exponents(nvars, N):
+        jet = tau(data, _taylor_monomial(nvars, A), 2 * N, N)
+        for I, T in ops.items():
+            if all(i <= a for i, a in zip(I, A)):
+                jet = jet - T.scale(_taylor_monomial(nvars, tuple(a - i for a, i in zip(A, I))))
+        if not jet.is_zero():
+            ops[A] = jet
+    table = {(r, I, J): c for I, TI in ops.items() for J, TJ in ops.items()
+             for (r, _, _), c in weyl.sigma_circ(TI, TJ, data.kind, data.chart, N).terms.items()}
+    table = dict(sorted(table.items()))
+    # every coefficient drawn, so the pair realizes every jet of order N
+    rng = Lcg(1)
+    f, g = (ChartExpr(ChartPolynomial(nvars, {A: rng.gaussian_rational() for A in _exponents(nvars, N + 1)}))
+            for _ in range(2))
+    if _applied(table, f, g, N) != star(data, f, g, N):
+        raise ContractViolation("bidifferential coefficients do not reproduce the star product")
+    return table
 
 
 def vey_order_check(data, r_max):
-    """Differential order of the star-product coefficients.
-
-    For each order r the operator f -> C_r(f, g) must be differential of
-    order <= r, which holds exactly when every (r+1)-fold nested commutator
-    with multiplication operators vanishes; same for the second argument.
-    """
-    from itertools import combinations_with_replacement
-
-    chart = data.chart
-    n = chart.n
-    z = ChartExpr.variable(n, 0)
-    zb = ChartExpr.variable(n, n)
-    g_pool = [z, zb, z * z * zb]
-    mult_pool = [z, zb]
-    eval_pool = [ChartExpr.one(n), z, zb, z * zb]
-    report = Report(title=f"vey order ({chart.name or 'chart'}, {data.kind})")
+    """Differential order of the star-product coefficients, read off
+    `bidifferential`: every c^r_{IJ} has |I| <= r and |J| <= r, and none
+    with r >= 1 has J = 0, which is C_r(f, 1) = 0."""
+    table = bidifferential(data, r_max)
+    report = Report(title=f"vey order ({data.chart.name or 'chart'}, {data.kind})")
     for r in range(1, r_max + 1):
-        ok_first = True
-        ok_second = True
-        detail = ""
-        for g in g_pool:
-            def c_r_first(x, g=g, r=r):
-                return star(data, x, g, r)[r]
-
-            def c_r_second(x, g=g, r=r):
-                return star(data, g, x, r)[r]
-
-            for mults in combinations_with_replacement(mult_pool, r + 1):
-                for f0 in eval_pool:
-                    if ok_first and not _nested_commutator_value(c_r_first, list(mults), f0).is_zero():
-                        ok_first = False
-                        detail = f"r={r}, g={g.pretty()}"
-                    if ok_second and not _nested_commutator_value(c_r_second, list(mults), f0).is_zero():
-                        ok_second = False
-                        detail = f"r={r}, g={g.pretty()} (second argument)"
-        report.add(f"C_{r} has order <= ({r},{r}) in the first argument", ok_first, detail)
-        report.add(f"C_{r} has order <= ({r},{r}) in the second argument", ok_second, detail)
-    zero_ok = all(
-        star(data, f, ChartExpr.one(chart.n), r_max).coeffs[r].is_zero()
-        for f in g_pool
-        for r in range(1, r_max + 1)
-    )
-    report.add("C_r(f, 1) = 0 for r >= 1", zero_ok)
+        for side, name in ((1, "first"), (2, "second")):
+            bad = next((key for key in table if key[0] == r and sum(key[side]) > r), None)
+            report.add(f"C_{r} has order <= ({r},{r}) in the {name} argument", bad is None,
+                       f"r={r}, I={bad[1]}, J={bad[2]}" if bad else "")
+    bad = next((key for key in table if key[0] and not any(key[2])), None)
+    report.add("C_r(f, 1) = 0 for r >= 1", bad is None, f"r={bad[0]}, I={bad[1]}" if bad else "")
     return report
 
 
-# -- separation of variables --------------------------------------------------------------
-
-
-def _reindexed(data, f, g, N):
-    """gf + sum (i lambda)^l C_l(g, f) as a series in lambda."""
-    coeffs = []
-    scale = GaussianRational(1)
-    for c in star(data, g, f, N).coeffs:
-        coeffs.append(c.scale(scale))
-        scale = scale * GR_I
-    return NuSeries(coeffs, param="lambda")
-
-
 def separation_product(data, f, g, N):
-    """The reindexed product f *K g = gf + sum (i lambda)^l C_l(g, f).
+    """The reindexed product f *K g = gf + sum (i lambda)^l C_l(g, f), a
+    series in the real parameter lambda.
 
-    A series in the real parameter lambda; holomorphic functions multiply
-    pointwise from the left and antiholomorphic ones from the right, which
-    is checked on small witnesses.
+    Holomorphic functions multiply pointwise from the left and
+    antiholomorphic ones from the right when every C_l with l >= 1
+    differentiates its first argument along z alone and its second along
+    zb alone, each at least once.  `bidifferential` tells, and data that
+    fails raises FedosovError.
     """
-    out = _reindexed(data, f, g, N)
     n = data.chart.n
-    z = ChartExpr.variable(n, 0)
-    zb = ChartExpr.variable(n, n)
-    for h in (ChartExpr.one(n), z, z * z):
-        want = NuSeries.from_function(h * zb, N, param="lambda")
-        if _reindexed(data, h, zb, N) != want:
-            raise ContractViolation("separation property fails for a holomorphic witness")
-    for h in (zb, zb * zb):
-        want = NuSeries.from_function(z * h, N, param="lambda")
-        if _reindexed(data, z, h, N) != want:
-            raise ContractViolation("separation property fails for an antiholomorphic witness")
-    return out
+    for r, I, J in bidifferential(data, N):
+        if r and not (any(I[:n]) and not any(I[n:]) and any(J[n:]) and not any(J[:n])):
+            raise FedosovError(f"C_{r} at I={I}, J={J} does not separate the variables")
+    return NuSeries([c.scale(GR_I ** l) for l, c in enumerate(star(data, g, f, N).coeffs)], param="lambda")
 
 
 # -- transport to the Weyl-kind product ----------------------------------------------------

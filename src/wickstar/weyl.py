@@ -359,15 +359,6 @@ class NuSeries:
             return NuSeries([a.scale(GaussianRational.coerce(factor)) for a in self.coeffs], self.param)
         return NuSeries([a * factor for a in self.coeffs], self.param)
 
-    def shift(self, power):
-        """Multiply by param^power, keeping the order fixed."""
-        n = self.coeffs[0].n
-        out = [ChartExpr.zero(n) for _ in self.coeffs]
-        for r, c in enumerate(self.coeffs):
-            if r + power <= self.order:
-                out[r + power] = c
-        return NuSeries(out, self.param)
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 

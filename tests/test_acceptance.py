@@ -14,6 +14,7 @@ from wickstar.chart import FormSeries, OneForm, TwoForm
 from wickstar.expr import ChartExpr, parse
 from wickstar.fedosov import (
     FedosovData,
+    bidifferential,
     closed_form_flat,
     compute_r_via_fixed_point,
     equivalence_A_h,
@@ -92,16 +93,15 @@ def test_criterion_2_associativity(c1_flat, disk, cp1):
 def test_criterion_3_wick_characterization(disk_omega_nu, c2_flat_omega20):
     started = time.perf_counter()
     data = FedosovData("wick", disk_omega_nu, K=8)
-    anti = [parse(t, 1) for t in ("1", "zb1", "zb1^2", "zb1^3")]
-    hol = [parse(t, 1) for t in ("1", "z1", "z1^2", "z1^3")]
-    pool = pool_for(disk_omega_nu, 33, count=4)
-    witnesses = ([(h, g) for h in anti for g in pool],
-                 [(f, h) for h in hol for f in pool])
-    positive = wick_type_check(data, 3, witnesses=witnesses)
+    # the exact verdict, which covers every witness: each C_r with r >= 1
+    # differentiates its first argument along z1 alone, its second along zb1
+    table = bidifferential(data, 3)
+    exact = all(not r or (I[1] == 0 and J[0] == 0) for r, I, J in table)
+    positive = wick_type_check(data, 3)
     control = FedosovData("wick", c2_flat_omega20, K=8)
     negative = wick_type_check(control, 3)
     failed = {c.name for c in negative.failures()}
-    ok = positive.passed and not negative.passed \
+    ok = exact and positive.passed and not negative.passed \
         and any(n.startswith("structural") for n in failed) \
         and any(n.startswith("behavioral") for n in failed)
     report(3, "Wick-type characterization (positive and negative control)", ok, started)

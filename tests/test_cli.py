@@ -274,6 +274,24 @@ def test_deep_nesting_is_a_user_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nesting" in err
 
 
+def test_non_ascii_digits_in_names_are_user_errors(capsys, tmp_path):
+    """A superscript or an Arabic-Indic digit passes str.isdigit but is no
+    index: `z²` and `z١` in an operand, and `dz¹` in a form key, exit 1 with
+    one error line."""
+    for f in ("z²", "z١"):
+        code, out, err = run(capsys, "star", "--chart", "c1_flat", "--order", "1",
+                             "--f", f, "--g", "z1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "malformed variable" in err
+    doc = json.loads(resources.files("wickstar").joinpath("charts/c2_flat_omega20.json").read_text())
+    doc["omega_series"] = [{"nu_power": 1, "form": {"dz¹^dz2": "1"}}]
+    path = tmp_path / "superscript.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "describe", "--chart", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "out of range" in err
+
+
 def test_huge_dimension_with_small_matrices_is_a_user_error(capsys, tmp_path):
     """A copy of the bundled disk claiming a dimension of a million fails on
     the shape of its matrices at once, before any entry is parsed in two
